@@ -23,8 +23,11 @@ vet:
 lint: vet
 	go run ./cmd/distflowlint ./...
 
+# flowbench is a nested module outside ./..., so it is vetted and
+# tested on its own: it imports internal/* signatures directly.
 test:
 	go test ./...
+	cd flowbench && go vet ./... && go test ./...
 
 test-race:
 	go test -race ./...

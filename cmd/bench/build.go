@@ -74,7 +74,7 @@ type BuildBenchResult struct {
 	// updated router's query values and a freshly built router's on the
 	// edited graph (both (1+ε)-approximate; the property test pins the
 	// Dinic bound, this field just records the drift).
-	UpdateMaxValueErr float64 `json:"update_max_value_err,omitempty"`
+	UpdateMaxValueErr float64 `json:"update_max_value_err"`
 }
 
 func runBuildBench(cfg FlowBenchConfig, jsonPath string, buildCeiling, updateCeiling float64) error {

@@ -179,19 +179,57 @@ func run() error {
 	if err != nil {
 		return fmt.Errorf("fresh: %w", err)
 	}
+	doc, err := compare(base, fresh, *tolerance)
+	if err != nil {
+		return err
+	}
+
+	for _, c := range doc.Gates {
+		status := "ok"
+		if !c.OK {
+			status = "REGRESSION"
+		}
+		fmt.Printf("  %-28s %14.6f -> %14.6f (%+.1f%%, tol %.0f%%) %s\n",
+			c.Key, c.Baseline, c.Fresh, 100*c.DeltaRel, 100*c.Tolerance, status)
+	}
+	for _, k := range doc.Skipped {
+		fmt.Printf("  %-28s skipped (absent from baseline or fresh document)\n", k)
+	}
+	if *outPath != "" {
+		out, err := json.MarshalIndent(doc, "", "  ")
+		if err != nil {
+			return err
+		}
+		out = append(out, '\n')
+		if err := os.WriteFile(*outPath, out, 0o644); err != nil {
+			return err
+		}
+	}
+	if doc.Failures > 0 {
+		return fmt.Errorf("%d gated field(s) regressed beyond tolerance (mode %s)", doc.Failures, doc.Mode)
+	}
+	fmt.Printf("benchdiff: %s document within tolerance of %s\n", doc.Mode, *basePath)
+	return nil
+}
+
+// compare checks fresh against base: both must be documents of the
+// same mode and configuration; every gated field of that mode is
+// compared under tolerance (or the gate's own rel/abs), and every other
+// shared scalar is listed as an ungated info row.
+func compare(base, fresh map[string]any, tolerance float64) (*diffDoc, error) {
 	mode := docMode(base)
 	if fm := docMode(fresh); fm != mode {
-		return fmt.Errorf("mode mismatch: baseline %q vs fresh %q", mode, fm)
+		return nil, fmt.Errorf("mode mismatch: baseline %q vs fresh %q", mode, fm)
 	}
 	if err := sameConfig(base, fresh); err != nil {
-		return err
+		return nil, err
 	}
 	gates, ok := gatesByMode[mode]
 	if !ok {
-		return fmt.Errorf("unknown document mode %q", mode)
+		return nil, fmt.Errorf("unknown document mode %q", mode)
 	}
 
-	doc := diffDoc{Mode: mode}
+	doc := &diffDoc{Mode: mode}
 	doc.Schema, _ = num(base, "schema")
 	doc.FreshSchema, _ = num(fresh, "schema")
 	for _, g := range gates {
@@ -201,7 +239,7 @@ func run() error {
 			doc.Skipped = append(doc.Skipped, g.key)
 			continue
 		}
-		tol := *tolerance
+		tol := tolerance
 		if g.rel > 0 {
 			tol = g.rel
 		}
@@ -252,33 +290,7 @@ func run() error {
 		}
 		doc.Info = append(doc.Info, comparison{Key: key, Baseline: bv, Fresh: fv, DeltaRel: rel, OK: true})
 	}
-
-	for _, c := range doc.Gates {
-		status := "ok"
-		if !c.OK {
-			status = "REGRESSION"
-		}
-		fmt.Printf("  %-28s %14.6f -> %14.6f (%+.1f%%, tol %.0f%%) %s\n",
-			c.Key, c.Baseline, c.Fresh, 100*c.DeltaRel, 100*c.Tolerance, status)
-	}
-	for _, k := range doc.Skipped {
-		fmt.Printf("  %-28s skipped (absent from baseline or fresh document)\n", k)
-	}
-	if *outPath != "" {
-		out, err := json.MarshalIndent(&doc, "", "  ")
-		if err != nil {
-			return err
-		}
-		out = append(out, '\n')
-		if err := os.WriteFile(*outPath, out, 0o644); err != nil {
-			return err
-		}
-	}
-	if doc.Failures > 0 {
-		return fmt.Errorf("%d gated field(s) regressed beyond tolerance (mode %s)", doc.Failures, mode)
-	}
-	fmt.Printf("benchdiff: %s document within tolerance of %s\n", mode, *basePath)
-	return nil
+	return doc, nil
 }
 
 func load(path string) (map[string]any, error) {

@@ -41,6 +41,10 @@
 //	  → 200 "ok" while serving, 503 "draining" once shutdown began —
 //	    load balancers stop routing here while in-flight queries drain.
 //
+// Request bodies are capped (4 KiB for /maxflow, 8 MiB for the update
+// endpoints): a larger body gets 413, a malformed one 400, and neither
+// reaches the router.
+//
 // Shutdown: SIGINT/SIGTERM flips the server to draining (new queries
 // get 503 + Retry-After, /healthz fails), then http.Server.Shutdown
 // waits up to -drain-timeout for in-flight queries to finish before
@@ -106,11 +110,82 @@ func run() error {
 		DefaultDeadline: *deadline,
 	})
 
+	hs := newHTTPServer(*addr, newMux(srv, r, G))
+	// Graceful shutdown: on SIGINT/SIGTERM flip to draining (new
+	// submissions shed with 503 + Retry-After, /healthz fails so load
+	// balancers stop routing), then let Shutdown drain in-flight
+	// requests up to -drain-timeout.
+	sigCtx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stopSignals()
+	serveErr := make(chan error, 1)
+	go func() {
+		fmt.Printf("serve: listening on %s\n", *addr)
+		serveErr <- hs.ListenAndServe()
+	}()
+	select {
+	case err := <-serveErr:
+		return err
+	case <-sigCtx.Done():
+	}
+	fmt.Println("serve: draining...")
+	srv.SetDraining(true)
+	shutCtx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
+	defer cancel()
+	if err := hs.Shutdown(shutCtx); err != nil {
+		return fmt.Errorf("drain: %w", err)
+	}
+	fmt.Println("serve: drained, bye")
+	return nil
+}
+
+// Request limits. Bodies beyond the size caps are refused with 413
+// before any of them reaches the router; the timeouts stop slow or
+// idle clients from pinning connections.
+const (
+	maxQueryBody      = 4 << 10 // one {"s","t"} pair
+	maxUpdateBody     = 8 << 20 // a large update batch
+	readHeaderTimeout = 10 * time.Second
+	readTimeout       = time.Minute
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer returns the daemon's http.Server with the request
+// timeouts set. There is no write timeout: a query's own deadline
+// bounds its response time.
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+}
+
+// decodeBody decodes req's JSON body, of at most limit bytes, into v.
+// On failure it writes the response — 413 for an oversized body, 400
+// for a malformed one — and returns false.
+func decodeBody(w http.ResponseWriter, req *http.Request, limit int64, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, req.Body, limit)).Decode(v)
+	if err == nil {
+		return true
+	}
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		writeErr(w, http.StatusRequestEntityTooLarge, err)
+	} else {
+		writeErr(w, http.StatusBadRequest, err)
+	}
+	return false
+}
+
+// newMux routes the daemon's endpoints to srv (queries and updates)
+// over router r and its graph G.
+func newMux(srv *distflow.Server, r *distflow.Router, G *distflow.Graph) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /maxflow", func(w http.ResponseWriter, req *http.Request) {
 		var q struct{ S, T int }
-		if err := json.NewDecoder(req.Body).Decode(&q); err != nil {
-			writeErr(w, http.StatusBadRequest, err)
+		if !decodeBody(w, req, maxQueryBody, &q) {
 			return
 		}
 		// Per-query deadline: the X-Deadline-Ms header overrides the
@@ -161,8 +236,7 @@ func run() error {
 				Cap  int64 `json:"cap"`
 			} `json:"edits"`
 		}
-		if err := json.NewDecoder(req.Body).Decode(&body); err != nil {
-			writeErr(w, http.StatusBadRequest, err)
+		if !decodeBody(w, req, maxUpdateBody, &body) {
 			return
 		}
 		edits := make([]distflow.CapEdit, len(body.Edits))
@@ -180,8 +254,7 @@ func run() error {
 		var body struct {
 			Edits []topoEditJSON `json:"edits"`
 		}
-		if err := json.NewDecoder(req.Body).Decode(&body); err != nil {
-			writeErr(w, http.StatusBadRequest, err)
+		if !decodeBody(w, req, maxUpdateBody, &body) {
 			return
 		}
 		edits := make([]distflow.TopoEdit, len(body.Edits))
@@ -233,32 +306,7 @@ func run() error {
 		fmt.Fprintln(w, "ok")
 	})
 
-	hs := &http.Server{Addr: *addr, Handler: mux}
-	// Graceful shutdown: on SIGINT/SIGTERM flip to draining (new
-	// submissions shed with 503 + Retry-After, /healthz fails so load
-	// balancers stop routing), then let Shutdown drain in-flight
-	// requests up to -drain-timeout.
-	sigCtx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stopSignals()
-	serveErr := make(chan error, 1)
-	go func() {
-		fmt.Printf("serve: listening on %s\n", *addr)
-		serveErr <- hs.ListenAndServe()
-	}()
-	select {
-	case err := <-serveErr:
-		return err
-	case <-sigCtx.Done():
-	}
-	fmt.Println("serve: draining...")
-	srv.SetDraining(true)
-	shutCtx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
-	defer cancel()
-	if err := hs.Shutdown(shutCtx); err != nil {
-		return fmt.Errorf("drain: %w", err)
-	}
-	fmt.Println("serve: drained, bye")
-	return nil
+	return mux
 }
 
 // topoEditJSON is the wire form of one TopoEdit.

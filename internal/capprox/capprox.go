@@ -930,19 +930,7 @@ func (a *Approximator) PotentialRT(r []float64, ta float64, s *EvalScratch, pi [
 	par.Do(len(a.Trees), func(k int) {
 		t := a.Trees[k]
 		y := t.SubtreeSumsInto(r, s.Sub[k])
-		scale := a.Scale[k]
-		m := 0.0
-		for v := 0; v < t.N(); v++ {
-			if v == t.Root || scale[v] == 0 {
-				y[v] = 0
-				continue
-			}
-			y[v] = ta * y[v] / scale[v]
-			if ay := math.Abs(y[v]); ay > m {
-				m = ay
-			}
-		}
-		s.tm[k] = m
+		s.tm[k] = ScaleRow(y, a.Scale[k], t.Root, ta, 0, t.N())
 	})
 	m := 0.0
 	for _, v := range s.tm {
@@ -960,26 +948,11 @@ func (a *Approximator) PotentialRT(r []float64, ta float64, s *EvalScratch, pi [
 	// bit-for-bit (see DESIGN.md §13).
 	par.Do(len(a.Trees), func(k int) {
 		t := a.Trees[k]
-		y := s.Sub[k]
 		size, count := par.Grid(t.N())
 		sum := 0.0
 		for c := 0; c < count; c++ {
-			lo, hi := c*size, (c+1)*size
-			if hi > t.N() {
-				hi = t.N()
-			}
-			ps := 0.0
-			for v := lo; v < hi; v++ {
-				if v == t.Root {
-					y[v] = 0
-					continue
-				}
-				p := math.Exp(y[v] - m)
-				q := math.Exp(-y[v] - m)
-				ps += p + q
-				y[v] = p - q
-			}
-			sum += ps
+			lo, hi := par.Chunk(c, size, t.N())
+			sum += ExpPairsRow(s.Sub[k], t.Root, m, lo, hi)
 		}
 		s.ts[k] = sum
 	})
@@ -993,42 +966,107 @@ func (a *Approximator) PotentialRT(r []float64, ta float64, s *EvalScratch, pi [
 	// combines trees in fixed order.
 	par.Do(len(a.Trees), func(k int) {
 		t := a.Trees[k]
-		y := s.Sub[k]
-		scale := a.Scale[k]
-		buf := s.PT[k]
-		for v := 0; v < t.N(); v++ {
-			if v == t.Root || scale[v] == 0 {
-				buf[v] = 0
-				continue
-			}
-			buf[v] = y[v] * inv / scale[v]
-		}
-		t.RootPathSumsInto(buf, buf)
+		PrepRT(s.PT[k], s.Sub[k], a.Scale[k], t.Root, inv, 0, t.N())
+		t.RootPathSumsInto(s.PT[k], s.PT[k])
 	})
-	par.For(len(pi), func(lo, hi int) {
-		for v := lo; v < hi; v++ {
-			acc := 0.0
-			for k := range s.PT {
-				acc += s.PT[k][v]
-			}
-			pi[v] = acc
-		}
-	})
+	par.For(len(pi), func(lo, hi int) { SumTrees(s.PT, pi, lo, hi) })
 	return m + math.Log(sum)
 }
 
 // NormRb returns ‖Rb‖∞ — with the default (virtual) scaling this is a
 // lower bound on the optimal congestion opt(b).
 func (a *Approximator) NormRb(b []float64) float64 {
+	tm := make([]float64, len(a.Trees))
+	par.Do(len(a.Trees), func(k int) {
+		t := a.Trees[k]
+		tm[k] = RowAbsMax(t.SubtreeSums(b), a.Scale[k], t.Root, 0, t.N())
+	})
 	m := 0.0
-	for _, y := range a.ApplyR(b) {
-		for _, x := range y {
-			if x < 0 {
-				x = -x
-			}
-			if x > m {
-				m = x
-			}
+	for _, v := range tm {
+		if v > m {
+			m = v
+		}
+	}
+	return m
+}
+
+// The row kernels below are the per-vertex-range bodies of PotentialRT
+// and NormRb on one tree k: y is that tree's row (len N), scale its
+// Scale[k], root its root. PotentialRT runs them over whole rows (or
+// par.Grid chunks); internal/shard runs the same kernels over each
+// shard's owned vertex range, which is what makes the sharded
+// evaluation bit-identical to this one.
+
+// ScaleRow sets y[v] = ta·y[v]/scale[v] for v in [lo,hi), zeroing the
+// root and zero-scale slots, and returns the range's max |y[v]|.
+func ScaleRow(y, scale []float64, root int, ta float64, lo, hi int) float64 {
+	m := 0.0
+	for v := lo; v < hi; v++ {
+		if v == root || scale[v] == 0 {
+			y[v] = 0
+			continue
+		}
+		y[v] = ta * y[v] / scale[v]
+		if ay := math.Abs(y[v]); ay > m {
+			m = ay
+		}
+	}
+	return m
+}
+
+// ExpPairsRow overwrites y[v] on [lo,hi) with the shifted gradient
+// numerator e^{y−m} − e^{−y−m} and returns the range's shifted sum
+// Σ (e^{y−m} + e^{−y−m}); the root slot is zeroed and excluded.
+func ExpPairsRow(y []float64, root int, m float64, lo, hi int) float64 {
+	s := 0.0
+	for v := lo; v < hi; v++ {
+		if v == root {
+			y[v] = 0
+			continue
+		}
+		p := math.Exp(y[v] - m)
+		q := math.Exp(-y[v] - m)
+		s += p + q
+		y[v] = p - q
+	}
+	return s
+}
+
+// PrepRT writes the Rᵀ sweep input buf[v] = y[v]·inv/scale[v] on
+// [lo,hi), zero at the root and zero-scale slots.
+func PrepRT(buf, y, scale []float64, root int, inv float64, lo, hi int) {
+	for v := lo; v < hi; v++ {
+		if v == root || scale[v] == 0 {
+			buf[v] = 0
+			continue
+		}
+		buf[v] = y[v] * inv / scale[v]
+	}
+}
+
+// SumTrees writes pi[v] = Σ_k pt[k][v] on [lo,hi), adding trees in
+// index order.
+func SumTrees(pt [][]float64, pi []float64, lo, hi int) {
+	for v := lo; v < hi; v++ {
+		acc := 0.0
+		for k := range pt {
+			acc += pt[k][v]
+		}
+		pi[v] = acc
+	}
+}
+
+// RowAbsMax returns max |y[v]/scale[v]| over the non-root,
+// nonzero-scale v in [lo,hi): the ‖R·b‖∞ partial of one tree row given
+// its subtree sums y.
+func RowAbsMax(y, scale []float64, root int, lo, hi int) float64 {
+	m := 0.0
+	for v := lo; v < hi; v++ {
+		if v == root || scale[v] == 0 {
+			continue
+		}
+		if a := math.Abs(y[v] / scale[v]); a > m {
+			m = a
 		}
 	}
 	return m

@@ -23,6 +23,7 @@ package graph
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"distflow/internal/csr"
 	"distflow/internal/par"
@@ -473,18 +474,21 @@ func (g *Graph) DivergenceInto(f, div []float64) []float64 {
 	}
 	g.Finalize()
 	if par.Sequential(g.n) {
-		g.divergenceRange(f, div, 0, g.n)
+		g.DivergenceRange(f, div, 0, g.n)
 		return div
 	}
 	par.For(g.n, func(lo, hi int) {
-		g.divergenceRange(f, div, lo, hi)
+		g.DivergenceRange(f, div, lo, hi)
 	})
 	return div
 }
 
-// divergenceRange is the allocation-free sweep body of DivergenceInto
-// over vertices [lo,hi): base CSR arcs plus the overlay chains.
-func (g *Graph) divergenceRange(f, div []float64, lo, hi int) {
+// DivergenceRange is the allocation-free sweep body of DivergenceInto
+// over vertices [lo,hi): base CSR arcs plus the overlay chains. It
+// reads f only at edges incident to [lo,hi) and never finalizes the
+// graph, so callers sharing g across goroutines (internal/shard) must
+// have finalized it already.
+func (g *Graph) DivergenceRange(f, div []float64, lo, hi int) {
 	off, arcs, baseN := g.off, g.arcs, g.baseN
 	for v := lo; v < hi; v++ {
 		s := 0.0
@@ -507,6 +511,22 @@ func (g *Graph) divergenceRange(f, div []float64, lo, hi int) {
 		}
 		div[v] = s
 	}
+}
+
+// GradientRange is the per-edge body of the solver's gradient
+// assembly over edges [lo,hi): it writes
+// grad[e] = w1[e]·invCap[e] + ta·(pi[V] − pi[U]) and returns the
+// range's partial of the duality gap Σ_e cap(e)·|grad[e]|. It reads pi
+// only at endpoints of edges in [lo,hi).
+func (g *Graph) GradientRange(w1, invCap []float64, ta float64, pi, grad []float64, lo, hi int) float64 {
+	d := 0.0
+	for e, ed := range g.edges[lo:hi] {
+		e += lo
+		gr := w1[e]*invCap[e] + ta*(pi[ed.V]-pi[ed.U])
+		grad[e] = gr
+		d += float64(ed.Cap) * math.Abs(gr)
+	}
+	return d
 }
 
 // MaxCongestion returns max_e |f[e]|/cap(e), the objective of problem (1)

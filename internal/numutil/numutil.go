@@ -118,7 +118,9 @@ func SoftMaxGradPar(y []float64, grad []float64) float64 {
 // grad receives ∂smax/∂y (not ∂/∂f). The fusion removes one full
 // write+read pass over a len(f) temporary from the solver's hot loop;
 // the chunked reduction order is fixed by len(f) alone, so the result
-// is bit-identical at every worker count.
+// is bit-identical at every worker count. The three chunk bodies are
+// the exported kernels ScaledAbsMax, ScaledExpPairs, and ScaleBy, which
+// the sharded engine (internal/shard) runs over the same chunks.
 func SoftMaxGradScaledPar(f, scale, grad []float64) float64 {
 	if len(scale) != len(f) || len(grad) != len(f) {
 		panic("numutil: scale/grad length mismatch")
@@ -127,32 +129,50 @@ func SoftMaxGradScaledPar(f, scale, grad []float64) float64 {
 		return math.Inf(-1)
 	}
 	m := par.Max(len(f), func(lo, hi int) float64 {
-		mm := 0.0
-		for i := lo; i < hi; i++ {
-			if a := math.Abs(f[i] * scale[i]); a > mm {
-				mm = a
-			}
-		}
-		return mm
+		return ScaledAbsMax(f[lo:hi], scale[lo:hi])
 	})
 	sum := par.Sum(len(f), func(lo, hi int) float64 {
-		s := 0.0
-		for i := lo; i < hi; i++ {
-			y := f[i] * scale[i]
-			p := math.Exp(y - m)
-			q := math.Exp(-y - m)
-			s += p + q
-			grad[i] = p - q
-		}
-		return s
+		return ScaledExpPairs(f[lo:hi], scale[lo:hi], grad[lo:hi], m)
 	})
 	inv := 1 / sum
-	par.For(len(f), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			grad[i] *= inv
-		}
-	})
+	par.For(len(f), func(lo, hi int) { ScaleBy(grad[lo:hi], inv) })
 	return m + math.Log(sum)
+}
+
+// ScaledAbsMax returns max_i |f_i·scale_i| (0 for an empty range): the
+// max-shift partial of one SoftMaxGradScaledPar chunk.
+func ScaledAbsMax(f, scale []float64) float64 {
+	scale = scale[:len(f)]
+	m := 0.0
+	for i, v := range f {
+		if a := math.Abs(v * scale[i]); a > m {
+			m = a
+		}
+	}
+	return m
+}
+
+// ScaledExpPairs writes the shifted gradient numerators
+// grad_i = e^{y_i−m} − e^{−y_i−m} for y_i = f_i·scale_i and returns the
+// range's shifted sum Σ_i (e^{y_i−m} + e^{−y_i−m}).
+func ScaledExpPairs(f, scale, grad []float64, m float64) float64 {
+	scale, grad = scale[:len(f)], grad[:len(f)]
+	s := 0.0
+	for i, v := range f {
+		y := v * scale[i]
+		p := math.Exp(y - m)
+		q := math.Exp(-y - m)
+		s += p + q
+		grad[i] = p - q
+	}
+	return s
+}
+
+// ScaleBy multiplies every element of x by c in place.
+func ScaleBy(x []float64, c float64) {
+	for i := range x {
+		x[i] *= c
+	}
 }
 
 // LogSumExp returns log Σ_i e^{y_i} evaluated stably.

@@ -138,11 +138,7 @@ func runChunked(n, size, count int, fn func(i, lo, hi int)) {
 	}
 	if w <= 1 {
 		for i := 0; i < count; i++ {
-			lo := i * size
-			hi := lo + size
-			if hi > n {
-				hi = n
-			}
+			lo, hi := Chunk(i, size, n)
 			fn(i, lo, hi)
 		}
 		return
@@ -157,11 +153,7 @@ func runChunked(n, size, count int, fn func(i, lo, hi int)) {
 			if i >= count {
 				return
 			}
-			lo := i * size
-			hi := lo + size
-			if hi > n {
-				hi = n
-			}
+			lo, hi := Chunk(i, size, n)
 			func() {
 				defer func() {
 					if p := recover(); p != nil {
@@ -267,10 +259,7 @@ func Sum(n int, body func(lo, hi int) float64) float64 {
 	pp := partialPool.Get().(*[]float64)
 	partial := *pp
 	runChunked(n, size, count, func(i, lo, hi int) { partial[i] = body(lo, hi) })
-	s := 0.0
-	for _, p := range partial[:count] {
-		s += p
-	}
+	s := FoldSum(partial[:count])
 	partialPool.Put(pp)
 	return s
 }
@@ -280,10 +269,9 @@ func Sum(n int, body func(lo, hi int) float64) float64 {
 // which is the whole determinism argument for the package. Code that
 // must reproduce a reduction bit-for-bit from partials computed
 // elsewhere (the internal/shard coordinator combining per-shard chunk
-// partials) aligns its ownership ranges to this grid: combining the
-// same per-chunk partials in the same chunk-index order is the same
-// float expression, so the sharded result equals the par result
-// exactly.
+// partials) aligns its ownership ranges to this grid: folding the same
+// per-chunk partials with FoldSum/FoldMax is the same float
+// expression, so the sharded result equals the par result exactly.
 func Grid(n int) (size, count int) { return chunks(n) }
 
 // Max reduces body over a partition of [0,n) taking the maximum of the
@@ -299,12 +287,45 @@ func Max(n int, body func(lo, hi int) float64) float64 {
 	pp := partialPool.Get().(*[]float64)
 	partial := *pp
 	runChunked(n, size, count, func(i, lo, hi int) { partial[i] = body(lo, hi) })
+	m := FoldMax(partial[:count])
+	partialPool.Put(pp)
+	return m
+}
+
+// Chunk returns the [lo,hi) element range of chunk c in the grid that
+// Grid(n) reports as (size, count).
+func Chunk(c, size, n int) (lo, hi int) {
+	lo = c * size
+	return lo, min(lo+size, n)
+}
+
+// FoldSum combines per-chunk partials the way Sum does: in chunk-index
+// order, with a single partial returned untouched (Sum never adds a
+// lone chunk to 0, which would turn a -0 partial into +0). Partials
+// computed elsewhere over the Grid(n) chunks fold to exactly Sum's
+// result — the internal/shard coordinator relies on this.
+func FoldSum(partials []float64) float64 {
+	if len(partials) == 1 {
+		return partials[0]
+	}
+	s := 0.0
+	for _, p := range partials {
+		s += p
+	}
+	return s
+}
+
+// FoldMax combines per-chunk partials the way Max does. Returns -Inf
+// for no partials.
+func FoldMax(partials []float64) float64 {
+	if len(partials) == 1 {
+		return partials[0]
+	}
 	m := math.Inf(-1)
-	for _, p := range partial[:count] {
+	for _, p := range partials {
 		if p > m {
 			m = p
 		}
 	}
-	partialPool.Put(pp)
 	return m
 }

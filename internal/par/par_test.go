@@ -135,3 +135,45 @@ func TestSetWorkersResets(t *testing.T) {
 	}
 	SetWorkers(prev)
 }
+
+// FoldSum/FoldMax over partials computed on the Grid chunks reproduce
+// Sum/Max bit for bit — at one chunk, two, and maxChunks — including
+// the single-chunk shortcut that hands a lone partial back untouched
+// (a -0 stays -0, a NaN stays NaN).
+func TestFoldMatchesSumMax(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	check := func(n int, val func() float64) {
+		t.Helper()
+		size, count := Grid(n)
+		partials := make([]float64, count)
+		next := 0
+		for c := range partials {
+			lo, hi := Chunk(c, size, n)
+			if lo != next || hi <= lo {
+				t.Fatalf("n=%d: chunk %d is [%d,%d), want it to start at %d", n, c, lo, hi, next)
+			}
+			next = hi
+			partials[c] = val()
+		}
+		if next != n {
+			t.Fatalf("n=%d: chunks cover [0,%d)", n, next)
+		}
+		body := func(lo, _ int) float64 { return partials[lo/size] }
+		if got, want := FoldSum(partials), Sum(n, body); math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("n=%d (%d chunks): FoldSum = %v, Sum = %v", n, count, got, want)
+		}
+		if got, want := FoldMax(partials), Max(n, body); math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("n=%d (%d chunks): FoldMax = %v, Max = %v", n, count, got, want)
+		}
+	}
+	for _, count := range []int{1, 2, maxChunks} {
+		n := count*grain - 1
+		if _, c := Grid(n); c != count {
+			t.Fatalf("n=%d: Grid reports %d chunks, want %d", n, c, count)
+		}
+		check(n, func() float64 { return rng.NormFloat64() * math.Exp(rng.NormFloat64()*5) })
+	}
+	for _, lone := range []float64{math.Copysign(0, -1), math.NaN()} {
+		check(grain-1, func() float64 { return lone })
+	}
+}

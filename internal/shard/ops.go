@@ -2,22 +2,20 @@ package shard
 
 import (
 	"math"
+
+	"distflow/internal/capprox"
+	"distflow/internal/numutil"
+	"distflow/internal/par"
 )
 
-// The per-iteration solver operators. Each mirrors one baseline
-// routine loop-for-loop; the comments name the reference. All of them
-// serialize on engine.mu — results are pure functions of the inputs,
-// so serialization cannot affect values, only wall time.
-
-// chunkRange returns the [lo,hi) element range of grid chunk c.
-func chunkRange(c, size, n int) (lo, hi int) {
-	lo = c * size
-	hi = lo + size
-	if hi > n {
-		hi = n
-	}
-	return lo, hi
-}
+// The per-iteration solver operators. Each one schedules the same
+// per-chunk (or per-vertex-range) kernels the single-address-space path
+// runs — numutil's soft-max kernels, graph.DivergenceRange,
+// graph.GradientRange, capprox's row kernels — over the shard's owned
+// ranges, with the boundary exchange and the coordinator fold around
+// them; the comments name the flat reference. All of them serialize on
+// engine.mu — results are pure functions of the inputs, so
+// serialization cannot affect values, only wall time.
 
 func (e *Engine) edgeActive(k int) bool {
 	return e.part.EdgeChunkHi[k] > e.part.EdgeChunkLo[k]
@@ -39,6 +37,20 @@ func (e *Engine) bcast(s *shardState, val float64, active func(int) bool) {
 	}
 }
 
+// recvScalar returns the coordinator's broadcast value on shard s: the
+// coordinator reads its own copy, active peers receive it, and
+// inactive shards (which received nothing) get 0.
+func (e *Engine) recvScalar(s *shardState, val float64, active func(int) bool) float64 {
+	switch {
+	case s.id == coord:
+		e.bcast(s, val, active)
+		return val
+	case active(s.id):
+		return e.recv(s, coord)[0]
+	}
+	return 0
+}
+
 // gatherPartials (coordinator only) assembles the per-chunk partials
 // shipped by every active shard into e.partials at global chunk
 // positions.
@@ -47,7 +59,7 @@ func (e *Engine) gatherPartials(s *shardState, chunkLo, chunkHi []int) {
 		if chunkHi[j] <= chunkLo[j] {
 			continue
 		}
-		copy(e.partials[chunkLo[j]:chunkHi[j]], e.recv(s, j).vals)
+		copy(e.partials[chunkLo[j]:chunkHi[j]], e.recv(s, j))
 	}
 }
 
@@ -61,7 +73,7 @@ func (e *Engine) gatherTreePartials(s *shardState, trees int) {
 		if cnt <= 0 {
 			continue
 		}
-		vals := e.recv(s, j).vals
+		vals := e.recv(s, j)
 		for t := 0; t < trees; t++ {
 			copy(e.partials[t*pt.VertChunks+pt.VertChunkLo[j]:t*pt.VertChunks+pt.VertChunkHi[j]],
 				vals[t*cnt:(t+1)*cnt])
@@ -69,13 +81,21 @@ func (e *Engine) gatherTreePartials(s *shardState, trees int) {
 	}
 }
 
-// SoftMaxGradScaled mirrors numutil.SoftMaxGradScaledPar(f, scale,
-// grad): smax of the implicit vector y_i = f_i·scale_i with the
-// gradient numerators and 1/sum scaling written into grad. Three
-// rounds: max-shift gather, broadcast+exp-sum gather,
-// broadcast+gradient scaling. Bit-identical because the per-chunk
-// loop bodies are the same code over the same par.Grid chunks and the
-// coordinator folds partials exactly as par.Max/par.Sum do.
+// shipPartials sends shard s's accumulated coordinator outbox unless s
+// is the coordinator (which reads its own outbox) or has nothing.
+func (e *Engine) shipPartials(s *shardState) {
+	if s.id != coord && len(s.outVals[coord]) > 0 {
+		e.send(s, coord)
+	}
+}
+
+// SoftMaxGradScaled is numutil.SoftMaxGradScaledPar(f, scale, grad):
+// smax of the implicit vector y_i = f_i·scale_i with the gradient
+// numerators and 1/sum scaling written into grad. Three rounds:
+// max-shift gather, broadcast+exp-sum gather, broadcast+gradient
+// scaling. Each shard runs numutil's chunk kernels over its owned
+// par.Grid chunks and the coordinator folds them with par.FoldMax/
+// par.FoldSum — the flat path's exact float expression.
 func (e *Engine) SoftMaxGradScaled(f, scaleVec, grad []float64) (float64, Cost) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -89,81 +109,47 @@ func (e *Engine) SoftMaxGradScaled(f, scaleVec, grad []float64) (float64, Cost) 
 		s := e.sh[id]
 		s.resetOut()
 		for ch := pt.EdgeChunkLo[id]; ch < pt.EdgeChunkHi[id]; ch++ {
-			lo, hi := chunkRange(ch, pt.EdgeSize, n)
-			mm := 0.0
-			for i := lo; i < hi; i++ {
-				if a := math.Abs(f[i] * scaleVec[i]); a > mm {
-					mm = a
-				}
-			}
-			s.outVals[coord] = append(s.outVals[coord], mm)
+			lo, hi := par.Chunk(ch, pt.EdgeSize, n)
+			s.outVals[coord] = append(s.outVals[coord], numutil.ScaledAbsMax(f[lo:hi], scaleVec[lo:hi]))
 		}
-		if id != coord && len(s.outVals[coord]) > 0 {
-			e.send(s, coord)
-		}
+		e.shipPartials(s)
 		if id == coord {
 			e.gatherPartials(s, pt.EdgeChunkLo, pt.EdgeChunkHi)
-			e.coordVal[0] = combineMax(e.partials[:pt.EdgeChunks])
+			e.coordVal[0] = par.FoldMax(e.partials[:pt.EdgeChunks])
 		}
 	})
 	m := e.coordVal[0]
 	e.round(&c, func(id int) {
 		s := e.sh[id]
 		s.resetOut()
-		mm := 0.0
-		switch {
-		case id == coord:
-			mm = e.coordVal[0]
-			e.bcast(s, mm, e.edgeActive)
-		case e.edgeActive(id):
-			mm = e.recv(s, coord).vals[0]
-		}
+		mm := e.recvScalar(s, e.coordVal[0], e.edgeActive)
 		for ch := pt.EdgeChunkLo[id]; ch < pt.EdgeChunkHi[id]; ch++ {
-			lo, hi := chunkRange(ch, pt.EdgeSize, n)
-			ps := 0.0
-			for i := lo; i < hi; i++ {
-				y := f[i] * scaleVec[i]
-				p := math.Exp(y - mm)
-				q := math.Exp(-y - mm)
-				ps += p + q
-				grad[i] = p - q
-			}
-			s.outVals[coord] = append(s.outVals[coord], ps)
+			lo, hi := par.Chunk(ch, pt.EdgeSize, n)
+			s.outVals[coord] = append(s.outVals[coord], numutil.ScaledExpPairs(f[lo:hi], scaleVec[lo:hi], grad[lo:hi], mm))
 		}
-		if id != coord && len(s.outVals[coord]) > 0 {
-			e.send(s, coord)
-		}
+		e.shipPartials(s)
 		if id == coord {
 			e.gatherPartials(s, pt.EdgeChunkLo, pt.EdgeChunkHi)
-			e.coordVal[1] = combineSum(e.partials[:pt.EdgeChunks])
+			e.coordVal[1] = par.FoldSum(e.partials[:pt.EdgeChunks])
 		}
 	})
 	sum := e.coordVal[1]
 	e.round(&c, func(id int) {
 		s := e.sh[id]
 		s.resetOut()
-		sv := 0.0
-		switch {
-		case id == coord:
-			sv = e.coordVal[1]
-			e.bcast(s, sv, e.edgeActive)
-		case e.edgeActive(id):
-			sv = e.recv(s, coord).vals[0]
-		}
-		inv := 1 / sv
-		for i := pt.EdgeLo[id]; i < pt.EdgeHi[id]; i++ {
-			grad[i] *= inv
-		}
+		sv := e.recvScalar(s, e.coordVal[1], e.edgeActive)
+		numutil.ScaleBy(grad[pt.EdgeLo[id]:pt.EdgeHi[id]], 1/sv)
 	})
 	e.finishCost(&c)
 	return m + math.Log(sum), c
 }
 
-// Residual mirrors graph.DivergenceInto followed by the element-wise
+// Residual is graph.DivergenceInto followed by the element-wise
 // r = bs − div: one round ships every boundary flow value to the
-// vertex owners that need it, then each shard sweeps its vertices in
-// the baseline's per-vertex arc order. Pass r == nil for plain
-// divergence.
+// vertex owners that need it, then each shard runs
+// graph.DivergenceRange over its vertices, reading flows from its
+// mirror (owned slots copied in, boundary slots received). Pass
+// r == nil for plain divergence.
 func (e *Engine) Residual(f, bs, div, r []float64) Cost {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -187,28 +173,17 @@ func (e *Engine) Residual(f, bs, div, r []float64) Cost {
 			if j == id || len(lst) == 0 {
 				continue
 			}
-			vals := e.recv(s, j).vals
+			vals := e.recv(s, j)
 			for i, ei := range lst {
 				s.fMirror[ei] = vals[i]
 			}
 		}
-		edges := e.edges
-		for v := pt.VertLo[id]; v < pt.VertHi[id]; v++ {
-			sum := 0.0
-			for _, a := range e.adj[v] {
-				fv := f[a.E]
-				if pt.EdgeOwner(a.E) != id {
-					fv = s.fMirror[a.E]
-				}
-				if edges[a.E].U == v {
-					sum += fv
-				} else {
-					sum -= fv
-				}
-			}
-			div[v] = sum
-			if r != nil {
-				r[v] = bs[v] - sum
+		lo, hi := pt.EdgeLo[id], pt.EdgeHi[id]
+		copy(s.fMirror[lo:hi], f[lo:hi])
+		e.g.DivergenceRange(s.fMirror, div, pt.VertLo[id], pt.VertHi[id])
+		if r != nil {
+			for v := pt.VertLo[id]; v < pt.VertHi[id]; v++ {
+				r[v] = bs[v] - div[v]
 			}
 		}
 	})
@@ -216,10 +191,11 @@ func (e *Engine) Residual(f, bs, div, r []float64) Cost {
 	return c
 }
 
-// PotentialRT mirrors capprox.Approximator.PotentialRT: φ₂ = smax(y)
-// for y = ta·R·r with node potentials π = Rᵀ·∇smax(y), executed as
-// level-synchronous tree sweeps over all trees at once with
-// chunk-aligned reductions. sub and pt are the caller's per-tree
+// PotentialRT is capprox.Approximator.PotentialRT: φ₂ = smax(y) for
+// y = ta·R·r with node potentials π = Rᵀ·∇smax(y), executed as
+// level-synchronous tree sweeps over all trees at once, with capprox's
+// row kernels run over each shard's owned vertex range (the exp-pair
+// sums per owned par.Grid chunk). sub and pt are the caller's per-tree
 // scratch (capprox.EvalScratch.Sub/PT); pi receives the potentials.
 func (e *Engine) PotentialRT(r []float64, ta float64, sub, pt [][]float64, pi []float64) (float64, Cost) {
 	e.mu.Lock()
@@ -227,7 +203,6 @@ func (e *Engine) PotentialRT(r []float64, ta float64, sub, pt [][]float64, pi []
 	var c Cost
 	K := len(e.trees)
 	part := e.part
-	ts := e.allTrees
 	// Init: per-tree accumulators start as r on owned slots (the
 	// collective equivalent of SubtreeSumsInto's copy).
 	e.round(&c, func(id int) {
@@ -236,7 +211,7 @@ func (e *Engine) PotentialRT(r []float64, ta float64, sub, pt [][]float64, pi []
 			copy(sub[k][lo:hi], r[lo:hi])
 		}
 	})
-	e.sweepUp(&c, ts, sub)
+	e.sweepUp(&c, sub)
 	// Pass 1 scaling: y = ta·y/scale with per-tree |y| maxima; maxima
 	// gather at the coordinator (max is exact, so any fold grouping
 	// reproduces the sequential per-tree max).
@@ -244,22 +219,8 @@ func (e *Engine) PotentialRT(r []float64, ta float64, sub, pt [][]float64, pi []
 		s := e.sh[id]
 		s.resetOut()
 		lo, hi := part.VertLo[id], part.VertHi[id]
-		for k := 0; k < K; k++ {
-			t := e.trees[k]
-			scale := e.scale[k]
-			y := sub[k]
-			mm := 0.0
-			for v := lo; v < hi; v++ {
-				if v == t.Root || scale[v] == 0 {
-					y[v] = 0
-					continue
-				}
-				y[v] = ta * y[v] / scale[v]
-				if ay := math.Abs(y[v]); ay > mm {
-					mm = ay
-				}
-			}
-			s.outVals[coord] = append(s.outVals[coord], mm)
+		for k, t := range e.trees {
+			s.outVals[coord] = append(s.outVals[coord], capprox.ScaleRow(sub[k], e.scale[k], t.Root, ta, lo, hi))
 		}
 		if id != coord && e.vertActive(id) {
 			e.send(s, coord)
@@ -273,7 +234,7 @@ func (e *Engine) PotentialRT(r []float64, ta float64, sub, pt [][]float64, pi []
 				if !e.vertActive(j) {
 					continue
 				}
-				vals := e.recv(s, j).vals
+				vals := e.recv(s, j)
 				for k := 0; k < K; k++ {
 					if vals[k] > tm[k] {
 						tm[k] = vals[k]
@@ -296,31 +257,11 @@ func (e *Engine) PotentialRT(r []float64, ta float64, sub, pt [][]float64, pi []
 	e.round(&c, func(id int) {
 		s := e.sh[id]
 		s.resetOut()
-		mm := 0.0
-		switch {
-		case id == coord:
-			mm = e.coordVal[0]
-			e.bcast(s, mm, e.vertActive)
-		case e.vertActive(id):
-			mm = e.recv(s, coord).vals[0]
-		}
-		for k := 0; k < K; k++ {
-			t := e.trees[k]
-			y := sub[k]
+		mm := e.recvScalar(s, e.coordVal[0], e.vertActive)
+		for k, t := range e.trees {
 			for ch := part.VertChunkLo[id]; ch < part.VertChunkHi[id]; ch++ {
-				lo, hi := chunkRange(ch, part.VertSize, part.N)
-				ps := 0.0
-				for v := lo; v < hi; v++ {
-					if v == t.Root {
-						y[v] = 0
-						continue
-					}
-					p := math.Exp(y[v] - mm)
-					q := math.Exp(-y[v] - mm)
-					ps += p + q
-					y[v] = p - q
-				}
-				s.outVals[coord] = append(s.outVals[coord], ps)
+				lo, hi := par.Chunk(ch, part.VertSize, part.N)
+				s.outVals[coord] = append(s.outVals[coord], capprox.ExpPairsRow(sub[k], t.Root, mm, lo, hi))
 			}
 		}
 		if id != coord && e.vertActive(id) {
@@ -340,55 +281,31 @@ func (e *Engine) PotentialRT(r []float64, ta float64, sub, pt [][]float64, pi []
 		}
 	})
 	sum := e.coordVal[1]
-	// Pass 3 prep: pt[k][v] = y·inv/scale on owned slots, zero at
-	// roots and zero-scale slots; then the top-down sweeps and the
-	// per-vertex cross-tree accumulation in tree order.
+	// Pass 3 prep: the Rᵀ sweep inputs on owned slots; then the
+	// top-down sweeps and the per-vertex cross-tree accumulation in
+	// tree order.
 	e.round(&c, func(id int) {
 		s := e.sh[id]
 		s.resetOut()
-		sv := 0.0
-		switch {
-		case id == coord:
-			sv = e.coordVal[1]
-			e.bcast(s, sv, e.vertActive)
-		case e.vertActive(id):
-			sv = e.recv(s, coord).vals[0]
-		}
-		inv := 1 / sv
+		inv := 1 / e.recvScalar(s, e.coordVal[1], e.vertActive)
 		lo, hi := part.VertLo[id], part.VertHi[id]
-		for k := 0; k < K; k++ {
-			t := e.trees[k]
-			scale := e.scale[k]
-			y := sub[k]
-			buf := pt[k]
-			for v := lo; v < hi; v++ {
-				if v == t.Root || scale[v] == 0 {
-					buf[v] = 0
-					continue
-				}
-				buf[v] = y[v] * inv / scale[v]
-			}
+		for k, t := range e.trees {
+			capprox.PrepRT(pt[k], sub[k], e.scale[k], t.Root, inv, lo, hi)
 		}
 	})
-	e.sweepDn(&c, ts, pt)
+	e.sweepDn(&c, pt)
 	e.round(&c, func(id int) {
-		lo, hi := part.VertLo[id], part.VertHi[id]
-		for v := lo; v < hi; v++ {
-			acc := 0.0
-			for k := 0; k < K; k++ {
-				acc += pt[k][v]
-			}
-			pi[v] = acc
-		}
+		capprox.SumTrees(pt, pi, part.VertLo[id], part.VertHi[id])
 	})
 	e.finishCost(&c)
 	return m + math.Log(sum), c
 }
 
-// GradientDelta mirrors sherman's gradient/duality-gap reduction: one
-// round ships boundary potentials to edge owners, one computes
-// grad[e] = w1[e]·invCap[e] + ta·(π_V − π_U) per owned edge with the
-// chunked Σ cap·|grad| partials gathered at the coordinator.
+// GradientDelta is sherman's gradient/duality-gap reduction: one round
+// ships boundary potentials to edge owners, one runs
+// graph.GradientRange per owned edge chunk — reading potentials from
+// the shard's mirror (owned slots copied in, boundary slots received) —
+// with the chunk partials of Σ cap·|grad| folded at the coordinator.
 func (e *Engine) GradientDelta(w1, invCap []float64, ta float64, pi, grad []float64) (float64, Cost) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -412,7 +329,7 @@ func (e *Engine) GradientDelta(w1, invCap []float64, ta float64, pi, grad []floa
 			if j == id || len(lst) == 0 {
 				continue
 			}
-			vals := e.recv(s, j).vals
+			vals := e.recv(s, j)
 			for i, v := range lst {
 				s.piMirror[v] = vals[i]
 			}
@@ -421,31 +338,15 @@ func (e *Engine) GradientDelta(w1, invCap []float64, ta float64, pi, grad []floa
 	e.round(&c, func(id int) {
 		s := e.sh[id]
 		s.resetOut()
-		edges := e.edges
+		copy(s.piMirror[pt.VertLo[id]:pt.VertHi[id]], pi[pt.VertLo[id]:pt.VertHi[id]])
 		for ch := pt.EdgeChunkLo[id]; ch < pt.EdgeChunkHi[id]; ch++ {
-			lo, hi := chunkRange(ch, pt.EdgeSize, pt.M)
-			d := 0.0
-			for ei := lo; ei < hi; ei++ {
-				ed := edges[ei]
-				pu, pv := pi[ed.U], pi[ed.V]
-				if pt.VertOwner(ed.U) != id {
-					pu = s.piMirror[ed.U]
-				}
-				if pt.VertOwner(ed.V) != id {
-					pv = s.piMirror[ed.V]
-				}
-				gr := w1[ei]*invCap[ei] + ta*(pv-pu)
-				grad[ei] = gr
-				d += float64(ed.Cap) * math.Abs(gr)
-			}
-			s.outVals[coord] = append(s.outVals[coord], d)
+			lo, hi := par.Chunk(ch, pt.EdgeSize, pt.M)
+			s.outVals[coord] = append(s.outVals[coord], e.g.GradientRange(w1, invCap, ta, s.piMirror, grad, lo, hi))
 		}
-		if id != coord && len(s.outVals[coord]) > 0 {
-			e.send(s, coord)
-		}
+		e.shipPartials(s)
 		if id == coord {
 			e.gatherPartials(s, pt.EdgeChunkLo, pt.EdgeChunkHi)
-			e.coordVal[0] = combineSum(e.partials[:pt.EdgeChunks])
+			e.coordVal[0] = par.FoldSum(e.partials[:pt.EdgeChunks])
 		}
 	})
 	delta := e.coordVal[0]
@@ -453,39 +354,30 @@ func (e *Engine) GradientDelta(w1, invCap []float64, ta float64, pi, grad []floa
 	return delta, c
 }
 
-// NormRb mirrors capprox.Approximator.NormRb: ‖R·b‖∞ via a bottom-up
-// sweep of every tree, the row scaling, and an exact max fold. sub is
-// per-tree scratch (len trees × N), typically the caller's
-// EvalScratch.Sub between evaluations.
+// NormRb is capprox.Approximator.NormRb: ‖R·b‖∞ via a bottom-up sweep
+// of every tree, capprox.RowAbsMax over each shard's owned range, and
+// an exact max fold. sub is per-tree scratch (len trees × N),
+// typically the caller's EvalScratch.Sub between evaluations.
 func (e *Engine) NormRb(b []float64, sub [][]float64) (float64, Cost) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	var c Cost
-	K := len(e.trees)
 	part := e.part
 	e.round(&c, func(id int) {
 		lo, hi := part.VertLo[id], part.VertHi[id]
-		for k := 0; k < K; k++ {
+		for k := range e.trees {
 			copy(sub[k][lo:hi], b[lo:hi])
 		}
 	})
-	e.sweepUp(&c, e.allTrees, sub)
+	e.sweepUp(&c, sub)
 	e.round(&c, func(id int) {
 		s := e.sh[id]
 		s.resetOut()
 		lo, hi := part.VertLo[id], part.VertHi[id]
 		mm := 0.0
-		for k := 0; k < K; k++ {
-			t := e.trees[k]
-			scale := e.scale[k]
-			y := sub[k]
-			for v := lo; v < hi; v++ {
-				if v == t.Root || scale[v] == 0 {
-					continue
-				}
-				if a := math.Abs(y[v] / scale[v]); a > mm {
-					mm = a
-				}
+		for k, t := range e.trees {
+			if a := capprox.RowAbsMax(sub[k], e.scale[k], t.Root, lo, hi); a > mm {
+				mm = a
 			}
 		}
 		s.outVals[coord] = append(s.outVals[coord], mm)
@@ -498,7 +390,7 @@ func (e *Engine) NormRb(b []float64, sub [][]float64) (float64, Cost) {
 				if !e.vertActive(j) {
 					continue
 				}
-				if v := e.recv(s, j).vals[0]; v > m {
+				if v := e.recv(s, j)[0]; v > m {
 					m = v
 				}
 			}

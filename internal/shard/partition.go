@@ -1,27 +1,29 @@
 // Package shard executes the solver's per-iteration operators —
 // soft-max gradient, divergence, the R/Rᵀ tree sweeps, and the
-// vtree.TreeFlow / PathDeltas primitives — across P shards, each a
-// goroutine with private mirrors of the boundary state it does not
-// own, exchanging typed messages over a channel mesh under a
-// synchronous round barrier (DESIGN.md §13). The engine measures what
+// gradient/duality-gap reduction — across P shards, each a goroutine
+// with private mirrors of the boundary state it does not own,
+// exchanging typed messages over a channel mesh under a synchronous
+// round barrier (DESIGN.md §13). The engine measures what
 // internal/congest otherwise only accounts: rounds of synchronous
 // exchange, messages, and payload bytes per operator application.
 //
+// The package owns scheduling only — partition, exchange, sweep
+// schedules, and the coordinator fold. Every arithmetic loop body is a
+// kernel exported by the package that owns the flat version (numutil,
+// graph, capprox) and called by both paths, so the two cannot drift.
+//
 // Determinism contract: every operator produces results bit-identical
 // to the single-address-space path at every (P, worker-count)
-// combination. Three mechanisms carry the proof:
+// combination. Two mechanisms carry the proof:
 //
 //   - Shard ownership ranges are unions of whole par.Grid chunks, and
 //     the coordinator folds gathered chunk partials in global chunk
-//     order — literally the same float expression par.Sum/par.Max
-//     evaluate.
+//     order with par.FoldSum/par.FoldMax — the fold par.Sum/par.Max
+//     themselves use.
 //   - Tree sweeps run level-synchronously with statically scheduled
 //     application order (descending child position, the sequential
 //     sweep's order), so each accumulator sees the same additions in
 //     the same order.
-//   - TreeFlow/PathDeltas contributions are integer-valued in the
-//     solver's capacity regime, where float64 addition is exact and
-//     therefore order-free.
 package shard
 
 import (

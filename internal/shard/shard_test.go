@@ -317,70 +317,6 @@ func TestNormRbEquivalence(t *testing.T) {
 	}
 }
 
-func TestTreeFlowEquivalence(t *testing.T) {
-	fx := newFixture(t, 5000, 2, 6)
-	var pairs []vtree.EdgeEndpoint
-	for i := 0; i < 4000; i++ {
-		u, v := fx.rng.Intn(fx.g.N()), fx.rng.Intn(fx.g.N())
-		if i%97 == 0 {
-			v = u // self-pair: must route nowhere
-		}
-		pairs = append(pairs, vtree.EdgeEndpoint{U: u, V: v, Cap: float64(1 + fx.rng.Intn(1000))})
-	}
-	for k, tr := range fx.trees {
-		want := append([]float64(nil), tr.TreeFlowWS(pairs, &vtree.TreeFlowScratch{})...)
-		for _, p := range shardCounts {
-			e := fx.engine(t, p)
-			out := make([]float64, fx.g.N())
-			cost := e.TreeFlow(k, pairs, out)
-			sameVec(t, "tree flow", out, want)
-			if p == 1 && cost.Messages != 0 {
-				t.Errorf("P=1 TreeFlow messages = %d", cost.Messages)
-			}
-		}
-	}
-}
-
-func TestPathDeltasEquivalence(t *testing.T) {
-	fx := newFixture(t, 5000, 2, 7)
-	var edits []vtree.DeltaEdit
-	for i := 0; i < 600; i++ {
-		u, v := fx.rng.Intn(fx.g.N()), fx.rng.Intn(fx.g.N())
-		diff := float64(fx.rng.Intn(21) - 10)
-		if i%83 == 0 {
-			v = u
-		}
-		edits = append(edits, vtree.DeltaEdit{U: u, V: v, Diff: diff})
-	}
-	for k, tr := range fx.trees {
-		wantDirty, wantDelta := tr.PathDeltas(edits, &vtree.DeltaScratch{})
-		wantSet := make(map[int]float64, len(wantDirty))
-		for _, v := range wantDirty {
-			wantSet[v] = wantDelta[v]
-		}
-		for _, p := range shardCounts {
-			e := fx.engine(t, p)
-			delta := make([]float64, fx.g.N())
-			dirty, _ := e.PathDeltas(k, edits, delta)
-			if len(dirty) != len(wantDirty) {
-				t.Fatalf("P=%d tree %d: %d dirty, want %d", p, k, len(dirty), len(wantDirty))
-			}
-			for i, v := range dirty {
-				if i > 0 && dirty[i-1] >= v {
-					t.Fatalf("P=%d tree %d: dirty not sorted ascending at %d", p, k, i)
-				}
-				wv, ok := wantSet[v]
-				if !ok {
-					t.Fatalf("P=%d tree %d: spurious dirty vertex %d", p, k, v)
-				}
-				if math.Float64bits(delta[v]) != math.Float64bits(wv) {
-					t.Fatalf("P=%d tree %d: delta[%d] = %v, want %v", p, k, v, delta[v], wv)
-				}
-			}
-		}
-	}
-}
-
 // TestPathTreeSweeps drives the sweeps through a depth-299 chain — one
 // superstep per level, every level a single vertex — across shard
 // counts, against the sequential sweeps.

@@ -271,7 +271,6 @@ func (ws *workspace) eval(f, bs []float64, alpha float64) (phi, delta float64) {
 		return ws.evalSharded(f, bs, alpha)
 	}
 	g := ws.g
-	edges := g.Edges()
 	// φ1 = smax(C⁻¹f), fused scaling.
 	phi1 := numutil.SoftMaxGradScaledPar(f, ws.invCap, ws.w1)
 
@@ -285,14 +284,7 @@ func (ws *workspace) eval(f, bs []float64, alpha float64) (phi, delta float64) {
 	phi2 := ws.apx.PotentialRT(ws.r, 2*alpha, ws.scratch, ws.pi)
 
 	delta = par.Sum(g.M(), func(lo, hi int) float64 {
-		d := 0.0
-		for e := lo; e < hi; e++ {
-			ed := edges[e]
-			gr := ws.w1[e]*ws.invCap[e] + 2*alpha*(ws.pi[ed.V]-ws.pi[ed.U])
-			ws.grad[e] = gr
-			d += float64(ed.Cap) * math.Abs(gr)
-		}
-		return d
+		return g.GradientRange(ws.w1, ws.invCap, 2*alpha, ws.pi, ws.grad, lo, hi)
 	})
 	return phi1 + phi2, delta
 }
