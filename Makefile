@@ -17,10 +17,12 @@ build:
 vet:
 	go vet ./...
 
-# The repository's invariant analyzers (DESIGN.md §12). Clean output
-# and exit 0 are a merge requirement; intentional violations carry a
+# gofmt-clean sources (offending files are listed on stderr), then the
+# repository's invariant analyzers (DESIGN.md §12). Clean output and
+# exit 0 are a merge requirement; intentional violations carry a
 # reasoned //distflow:allow annotation.
 lint: vet
+	test -z "$$(gofmt -l . | tee /dev/stderr)"
 	go run ./cmd/distflowlint ./...
 
 # flowbench is a nested module outside ./..., so it is vetted and

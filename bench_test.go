@@ -8,6 +8,7 @@ package distflow
 // scale for EXPERIMENTS.md.
 
 import (
+	"math"
 	"math/rand"
 	"runtime"
 	"strconv"
@@ -178,6 +179,84 @@ func BenchmarkSoftMaxGrad(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		numutil.SoftMaxGrad(y, grad)
+	}
+}
+
+// gnpColdKernels holds the inputs of the two per-iteration soft-max
+// kernels at gnp-cold scale (GNP n=2500, mean degree 8, the default 13
+// trees), spread so that the shift m = max|y| is 55 — the regime of an
+// ε=0.5 query, where most shifted exponentials fall below
+// numutil.ExpPair's floor.
+var gnpColdKernels struct {
+	sync.Once
+	apx      *capprox.Approximator
+	r        []float64 // residual demand for PotentialRT
+	ta       float64   // 2α scaling with max |ta·R·r| = 55
+	f, scale []float64 // φ1 input y_e = f_e·scale_e over the edges
+	err      error
+}
+
+func gnpColdKernelSetup(b *testing.B) {
+	b.Helper()
+	k := &gnpColdKernels
+	k.Do(func() {
+		rng := rand.New(rand.NewSource(3))
+		g := graph.CapUniform(graph.GNP(2500, 8.0/2500, rng), 64, rng)
+		k.apx, k.err = capprox.Build(g, capprox.Config{}, rand.New(rand.NewSource(3)))
+		if k.err != nil {
+			return
+		}
+		// A residual that is the divergence of a random flow with
+		// capacity-scaled edge values: 86% of the tree-row entries fall
+		// below the floor (a gnp-cold query measures ≈71%).
+		k.r = make([]float64, g.N())
+		for _, e := range g.Edges() {
+			x := rng.NormFloat64() * float64(e.Cap)
+			k.r[e.U] -= x
+			k.r[e.V] += x
+		}
+		m := 0.0
+		for _, row := range k.apx.ApplyR(k.r) {
+			m = math.Max(m, numutil.AbsMax(row))
+		}
+		k.ta = 55 / m
+		// 57% of the edge entries below the floor (|y| < 17.5), as
+		// measured on gnp-cold queries.
+		k.f = make([]float64, g.M())
+		k.scale = make([]float64, g.M())
+		for i := range k.f {
+			k.scale[i] = rng.Float64() + 0.5
+			k.f[i] = math.Max(-55, math.Min(55, rng.NormFloat64()*22)) / k.scale[i]
+		}
+		k.f[0] = 55 / k.scale[0]
+	})
+	if k.err != nil {
+		b.Fatal(k.err)
+	}
+}
+
+// BenchmarkSoftMaxGradScaledPar times the edge soft-max φ1 of one
+// gradient evaluation.
+func BenchmarkSoftMaxGradScaledPar(b *testing.B) {
+	gnpColdKernelSetup(b)
+	k := &gnpColdKernels
+	grad := make([]float64, len(k.f))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		numutil.SoftMaxGradScaledPar(k.f, k.scale, grad)
+	}
+}
+
+// BenchmarkPotentialRT times the fused tree soft-max φ2 of one gradient
+// evaluation: R sweep, exponentials, Rᵀ sweep over all 13 trees.
+func BenchmarkPotentialRT(b *testing.B) {
+	gnpColdKernelSetup(b)
+	k := &gnpColdKernels
+	scratch := k.apx.NewEvalScratch()
+	pi := make([]float64, len(k.r))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k.apx.PotentialRT(k.r, k.ta, scratch, pi)
 	}
 }
 

@@ -80,7 +80,7 @@ func TestConcurrentQueryUpdateRace(t *testing.T) {
 				v = (u + 1) % n
 			}
 			var ur *UpdateResult
-			ur, err = r.UpdateTopology([]TopoEdit{AddEdgeEdit(u, v, 1 + urng.Int63n(15))})
+			ur, err = r.UpdateTopology([]TopoEdit{AddEdgeEdit(u, v, 1+urng.Int63n(15))})
 			if ur != nil {
 				added = append(added, ur.AddedEdges...)
 			}

@@ -14,9 +14,11 @@
 //     Server's coalesced solves run on a detached context so one
 //     cancelled waiter cannot abort the others) and carries a
 //     //distflow:allow ctxflow annotation at the call.
+//
 //  2. A ...Ctx function must use its ctx parameter at least once — an
 //     entry point that accepts a context and drops it advertises a
 //     guarantee it does not implement.
+//
 //  3. A loop marked as a poll granule —
 //
 //     //distflow:poll

@@ -28,6 +28,7 @@ import (
 	"distflow/internal/congest"
 	"distflow/internal/graph"
 	"distflow/internal/jtree"
+	"distflow/internal/numutil"
 	"distflow/internal/par"
 	"distflow/internal/sparsify"
 	"distflow/internal/vtree"
@@ -907,8 +908,8 @@ func (a *Approximator) NewEvalScratch() *EvalScratch {
 // non-root (tree, vertex) slot and writes the node potentials
 // π = Rᵀ·∇smax(y) into pi (len N).
 //
-// This is the fusion of ApplyRInto → SoftMaxGradPar → ApplyRTInto: the
-// 2α scaling and the 1/Scale row scalings are folded into the tree
+// This is the fusion of ApplyRInto → numutil.SoftMaxGrad → ApplyRTInto:
+// the 2α scaling and the 1/Scale row scalings are folded into the tree
 // sweeps, the soft-max works per tree instead of over a flat scatter
 // index, and the gradient numerators overwrite the subtree aggregates
 // in place — three full passes over K·N temporaries (and both scatter
@@ -918,9 +919,10 @@ func (a *Approximator) NewEvalScratch() *EvalScratch {
 // order on the calling goroutine, and the final accumulation over
 // trees is chunk-parallel over vertices in fixed tree order, so the
 // result is a pure function of (r, ta) at every worker count. The
-// summation order differs from the flat-index SoftMaxGradPar
-// composition in the last ulps; tests compare against the unfused
-// reference with a tolerance.
+// result differs from the flat-index SoftMaxGrad composition in the
+// summation order and in the terms numutil.ExpPair drops (less than
+// count·2⁻⁵³ relative over count slots); tests compare against the
+// unfused reference with a tolerance.
 func (a *Approximator) PotentialRT(r []float64, ta float64, s *EvalScratch, pi []float64) float64 {
 	if len(s.Sub) != len(a.Trees) || len(s.PT) != len(a.Trees) {
 		panic("capprox: scratch tree count mismatch")
@@ -1016,7 +1018,8 @@ func ScaleRow(y, scale []float64, root int, ta float64, lo, hi int) float64 {
 
 // ExpPairsRow overwrites y[v] on [lo,hi) with the shifted gradient
 // numerator e^{y−m} − e^{−y−m} and returns the range's shifted sum
-// Σ (e^{y−m} + e^{−y−m}); the root slot is zeroed and excluded.
+// Σ (e^{y−m} + e^{−y−m}), each pair evaluated by numutil.ExpPair; the
+// root slot is zeroed and excluded.
 func ExpPairsRow(y []float64, root int, m float64, lo, hi int) float64 {
 	s := 0.0
 	for v := lo; v < hi; v++ {
@@ -1024,10 +1027,9 @@ func ExpPairsRow(y []float64, root int, m float64, lo, hi int) float64 {
 			y[v] = 0
 			continue
 		}
-		p := math.Exp(y[v] - m)
-		q := math.Exp(-y[v] - m)
-		s += p + q
-		y[v] = p - q
+		d, p := numutil.ExpPair(y[v], m)
+		s += p
+		y[v] = d
 	}
 	return s
 }

@@ -134,3 +134,59 @@ func TestPotentialRTStability(t *testing.T) {
 		}
 	}
 }
+
+// In the gnp-cold regime (shift m ≈ 55) numutil.ExpPair drops most
+// exponential terms; the fused evaluation must still stay within
+// count·2⁻⁵³ of the SoftMaxGrad reference over count slots: φ relative
+// to itself, and each π[v] — a sum of gradient entries over root paths,
+// each weighted by 1/Scale — within count·2⁻⁵³·Σ 1/Scale.
+func TestPotentialRTTruncationBound(t *testing.T) {
+	g, a := fusedTestApproximator(t, 500)
+	rng := rand.New(rand.NewSource(501))
+	r := make([]float64, g.N())
+	var sum float64
+	for v := 1; v < g.N(); v++ {
+		r[v] = rng.NormFloat64()
+		sum += r[v]
+	}
+	r[0] = -sum
+	rr := a.ApplyR(r)
+	m1, weight := 0.0, 0.0
+	count := 0
+	for k, t := range a.Trees {
+		for v := 0; v < t.N(); v++ {
+			if v == t.Root {
+				continue
+			}
+			count++
+			m1 = math.Max(m1, math.Abs(rr[k][v]))
+			if a.Scale[k][v] != 0 {
+				weight += 1 / a.Scale[k][v]
+			}
+		}
+	}
+	ta := 55 / m1
+	dropped := 0
+	for k, t := range a.Trees {
+		for v := 0; v < t.N(); v++ {
+			if v != t.Root && ta*math.Abs(rr[k][v])-55 < -37.5 {
+				dropped++
+			}
+		}
+	}
+	if dropped < count/10 {
+		t.Fatalf("only %d of %d slots below the exp floor", dropped, count)
+	}
+	pi := make([]float64, g.N())
+	phi := a.PotentialRT(r, ta, a.NewEvalScratch(), pi)
+	wantPhi, wantPi := unfusedPotentialRT(a, r, ta)
+	tol := float64(count) * 0x1p-53
+	if math.Abs(phi-wantPhi) > tol*math.Abs(wantPhi) {
+		t.Fatalf("phi %v, reference %v (tolerance %v relative)", phi, wantPhi, tol)
+	}
+	for v := range pi {
+		if math.Abs(pi[v]-wantPi[v]) > tol*weight {
+			t.Fatalf("pi[%d] = %v, reference %v (tolerance %v)", v, pi[v], wantPi[v], tol*weight)
+		}
+	}
+}

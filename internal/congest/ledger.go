@@ -19,10 +19,10 @@ import (
 // and how large the payloads were, and the Õ(√n + D) claim is only
 // checkable against measurement if those survive next to the rounds.
 type Ledger struct {
-	measured  int64
-	accounted int64
-	messages  int64
-	bytes     int64
+	measured   int64
+	accounted  int64
+	messages   int64
+	bytes      int64
 	phases     map[string]int64 // rounds per phase
 	phaseMsgs  map[string]int64 // measured messages per phase
 	phaseBytes map[string]int64 // measured payload bytes per phase

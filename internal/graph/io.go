@@ -30,7 +30,7 @@ type StreamWriter struct {
 // NewStreamWriter starts a text-format stream for an n-vertex graph
 // with exactly m edges to come.
 func NewStreamWriter(w io.Writer, n, m int) (*StreamWriter, error) {
-	sw := &StreamWriter{bw: bufio.NewWriterSize(w, 1 << 16), want: m}
+	sw := &StreamWriter{bw: bufio.NewWriterSize(w, 1<<16), want: m}
 	sw.buf = strconv.AppendInt(sw.buf[:0], int64(n), 10)
 	sw.buf = append(sw.buf, ' ')
 	sw.buf = strconv.AppendInt(sw.buf, int64(m), 10)
@@ -158,7 +158,9 @@ func Read(r io.Reader) (*Graph, error) {
 	return g, nil
 }
 
-func isWS(c byte) bool { return c == ' ' || c == '\t' || c == '\r' || c == '\n' || c == '\v' || c == '\f' }
+func isWS(c byte) bool {
+	return c == ' ' || c == '\t' || c == '\r' || c == '\n' || c == '\v' || c == '\f'
+}
 
 func trimWS(b []byte) []byte {
 	for len(b) > 0 && isWS(b[0]) {

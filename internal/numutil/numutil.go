@@ -70,57 +70,19 @@ func SoftMaxGrad(y []float64, grad []float64) float64 {
 	return m + math.Log(sum)
 }
 
-// SoftMaxGradPar is SoftMaxGrad evaluated on the shared worker pool
-// (internal/par): the max shift, the shifted exponential sum, and the
-// gradient scaling each run chunk-parallel. The chunked summation order
-// is fixed by the input length alone, so the result is bit-identical at
-// every worker count — but it differs in the last ulps from the
-// single-sweep SoftMaxGrad, which remains the reference for tests.
-func SoftMaxGradPar(y []float64, grad []float64) float64 {
-	if len(grad) != len(y) {
-		panic("numutil: grad length mismatch")
-	}
-	if len(y) == 0 {
-		return math.Inf(-1)
-	}
-	m := par.Max(len(y), func(lo, hi int) float64 {
-		mm := 0.0
-		for i := lo; i < hi; i++ {
-			if a := math.Abs(y[i]); a > mm {
-				mm = a
-			}
-		}
-		return mm
-	})
-	sum := par.Sum(len(y), func(lo, hi int) float64 {
-		s := 0.0
-		for i := lo; i < hi; i++ {
-			p := math.Exp(y[i] - m)
-			q := math.Exp(-y[i] - m)
-			s += p + q
-			grad[i] = p - q
-		}
-		return s
-	})
-	inv := 1 / sum
-	par.For(len(y), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			grad[i] *= inv
-		}
-	})
-	return m + math.Log(sum)
-}
-
-// SoftMaxGradScaledPar is SoftMaxGradPar evaluated at the implicit
-// vector y_i = f_i·scale_i without materializing y: every chunk pass
-// reads f and scale directly, fusing the element-wise scaling into the
-// max shift, the shifted exponential sum, and the gradient scaling.
-// grad receives ∂smax/∂y (not ∂/∂f). The fusion removes one full
-// write+read pass over a len(f) temporary from the solver's hot loop;
-// the chunked reduction order is fixed by len(f) alone, so the result
-// is bit-identical at every worker count. The three chunk bodies are
-// the exported kernels ScaledAbsMax, ScaledExpPairs, and ScaleBy, which
-// the sharded engine (internal/shard) runs over the same chunks.
+// SoftMaxGradScaledPar is SoftMaxGrad evaluated chunk-parallel on the
+// shared worker pool (internal/par) at the implicit vector
+// y_i = f_i·scale_i, without materializing y: every chunk pass reads f
+// and scale directly, fusing the element-wise scaling into the max
+// shift, the shifted exponential sum, and the gradient scaling. grad
+// receives ∂smax/∂y (not ∂/∂f). The chunked reduction order is fixed by
+// len(f) alone, so the result is bit-identical at every worker count;
+// it differs from the single-sweep SoftMaxGrad, which remains the
+// reference for tests, in the last ulps and by the terms ExpPair drops
+// (the shifted sum moves by less than len(f)·2⁻⁵³ relative). The three
+// chunk bodies are the exported kernels ScaledAbsMax, ScaledExpPairs,
+// and ScaleBy, which the sharded engine (internal/shard) runs over the
+// same chunks.
 func SoftMaxGradScaledPar(f, scale, grad []float64) float64 {
 	if len(scale) != len(f) || len(grad) != len(f) {
 		panic("numutil: scale/grad length mismatch")
@@ -154,18 +116,51 @@ func ScaledAbsMax(f, scale []float64) float64 {
 
 // ScaledExpPairs writes the shifted gradient numerators
 // grad_i = e^{y_i−m} − e^{−y_i−m} for y_i = f_i·scale_i and returns the
-// range's shifted sum Σ_i (e^{y_i−m} + e^{−y_i−m}).
+// range's shifted sum Σ_i (e^{y_i−m} + e^{−y_i−m}), each pair evaluated
+// by ExpPair.
 func ScaledExpPairs(f, scale, grad []float64, m float64) float64 {
 	scale, grad = scale[:len(f)], grad[:len(f)]
 	s := 0.0
 	for i, v := range f {
-		y := v * scale[i]
-		p := math.Exp(y - m)
-		q := math.Exp(-y - m)
-		s += p + q
-		grad[i] = p - q
+		d, p := ExpPair(v*scale[i], m)
+		s += p
+		grad[i] = d
 	}
 	return s
+}
+
+// expFloor is the shifted exponent below which ExpPair drops a term:
+// e^{−37.5} ≈ 5.2·10⁻¹⁷ < 2⁻⁵⁴. A shifted soft-max sum is at least 1
+// (the entry with |y| = m contributes e^0), so a dropped term is below
+// half an ulp of it.
+const expFloor = -37.5
+
+// ExpPair returns the shifted soft-max pair of one entry,
+//
+//	diff = e^{y−m} − e^{−y−m},  sum = e^{y−m} + e^{−y−m},
+//
+// taking the exponential only of terms whose shifted exponent is at
+// least expFloor: with a = |y|, the pair is (0, 0) when a−m < expFloor,
+// and the smaller term e^{−a−m} is 0 when −a−m < expFloor. When neither
+// exponent is below the floor, the result is bit-identical to the two
+// exponentials computed directly; each dropped term is below 2⁻⁵⁴. It
+// is the only exponential on the gradient-iteration path: the φ1
+// kernel ScaledExpPairs and the φ2 row kernel capprox.ExpPairsRow both
+// evaluate their entries through it.
+func ExpPair(y, m float64) (diff, sum float64) {
+	a := math.Abs(y)
+	if a-m < expFloor {
+		return 0, 0
+	}
+	big := math.Exp(a - m)
+	small := 0.0
+	if !(-a-m < expFloor) { // a NaN exponent reaches Exp, as in the test above
+		small = math.Exp(-a - m)
+	}
+	if y < 0 { // small − big is p − q to the bit, signed zero included
+		return small - big, big + small
+	}
+	return big - small, big + small
 }
 
 // ScaleBy multiplies every element of x by c in place.

@@ -255,3 +255,156 @@ func TestSoftMaxGradScaledParMatchesReference(t *testing.T) {
 		}
 	}
 }
+
+// twoExp is the pair ExpPair replaces: both exponentials, always.
+func twoExp(y, m float64) (diff, sum float64) {
+	p := math.Exp(y - m)
+	q := math.Exp(-y - m)
+	return p - q, p + q
+}
+
+// sameFloat reports bit equality, treating every NaN as equal.
+func sameFloat(a, b float64) bool {
+	if math.IsNaN(a) || math.IsNaN(b) {
+		return math.IsNaN(a) && math.IsNaN(b)
+	}
+	return math.Float64bits(a) == math.Float64bits(b)
+}
+
+// Whenever neither shifted exponent is below the floor, ExpPair is the
+// two-exp expression bit for bit; otherwise it differs from it only by
+// dropped terms, each below 2⁻⁵⁴.
+func TestExpPairMatchesTwoExp(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	kept := 0
+	for i := 0; i < 200000; i++ {
+		m := rng.Float64() * 80
+		if i%2 == 0 {
+			m = rng.Float64() * 37.5 // the pair itself is never dropped
+		}
+		y := (2*rng.Float64() - 1) * m
+		if i%7 == 0 {
+			y = (2*rng.Float64() - 1) * 1e-12 // p and q agree
+		}
+		d, s := ExpPair(y, m)
+		wd, ws := twoExp(y, m)
+		if y-m >= expFloor && -y-m >= expFloor {
+			kept++
+			if !sameFloat(d, wd) || !sameFloat(s, ws) {
+				t.Fatalf("ExpPair(%v, %v) = (%v, %v), two-exp (%v, %v)", y, m, d, s, wd, ws)
+			}
+			continue
+		}
+		if m < -expFloor && s == 0 {
+			t.Fatalf("ExpPair(%v, %v) dropped the pair at m < %v", y, m, -expFloor)
+		}
+		if math.Abs(d-wd) > 0x1p-54 || math.Abs(s-ws) > 2*0x1p-54 {
+			t.Fatalf("ExpPair(%v, %v) = (%v, %v), two-exp (%v, %v): dropped more than 2⁻⁵⁴ per term", y, m, d, s, wd, ws)
+		}
+	}
+	if kept < 1000 {
+		t.Fatalf("only %d samples exercised the bit-identical branch", kept)
+	}
+}
+
+// ExpPair returns exactly (0, 0) if and only if the larger exponent
+// |y|−m is below the floor, and then that term is below 2⁻⁵⁴.
+func TestExpPairZeroOnlyBelowFloor(t *testing.T) {
+	if math.Exp(expFloor) >= 0x1p-54 {
+		t.Fatalf("e^expFloor = %v, not below 2⁻⁵⁴", math.Exp(expFloor))
+	}
+	rng := rand.New(rand.NewSource(29))
+	for i := 0; i < 200000; i++ {
+		m := rng.Float64() * 80
+		y := (2*rng.Float64() - 1) * m
+		if i%3 == 0 {
+			// Straddle the floor to within a few ulps.
+			y = math.Copysign(m+expFloor, y) + float64(rng.Intn(9)-4)*0x1p-48
+		}
+		a := math.Abs(y)
+		d, s := ExpPair(y, m)
+		zero := d == 0 && s == 0
+		if zero != (a-m < expFloor) {
+			t.Fatalf("ExpPair(%v, %v) = (%v, %v); |y|−m = %v, floor %v", y, m, d, s, a-m, expFloor)
+		}
+		if zero && math.Exp(a-m) >= math.Exp(expFloor) {
+			t.Fatalf("ExpPair(%v, %v) dropped e^{|y|−m} = %v ≥ e^floor", y, m, math.Exp(a-m))
+		}
+	}
+}
+
+// Signed zeros, a zero shift, NaN and infinities come out exactly as
+// the two-exp expression gives them.
+func TestExpPairSpecialValues(t *testing.T) {
+	inf, nan := math.Inf(1), math.NaN()
+	negZero := math.Copysign(0, -1)
+	ys := []float64{0, negZero, 1, -1, 1e-300, -1e-300, 40, -40, 800, -800, inf, -inf, nan}
+	ms := []float64{0, negZero, 1, 40, 800, inf, -inf, nan}
+	for _, y := range ys {
+		for _, m := range ms {
+			d, s := ExpPair(y, m)
+			wd, ws := twoExp(y, m)
+			if m <= 1 || math.IsInf(m, 0) || math.IsNaN(m) || math.IsNaN(y) || math.IsInf(y, 0) {
+				// Any term dropped here is 0, NaN-absorbed, or below
+				// e^{−73} of the term kept, so the match is exact.
+				if !sameFloat(d, wd) || !sameFloat(s, ws) {
+					t.Errorf("ExpPair(%v, %v) = (%v, %v), two-exp (%v, %v)", y, m, d, s, wd, ws)
+				}
+				continue
+			}
+			if math.Abs(d-wd) > 0x1p-54 || math.Abs(s-ws) > 2*0x1p-54 {
+				t.Errorf("ExpPair(%v, %v) = (%v, %v), two-exp (%v, %v)", y, m, d, s, wd, ws)
+			}
+		}
+	}
+}
+
+// gnpColdVector returns f and scale with y = f·scale spread like the
+// soft-max inputs of a gnp-cold query (GNP n=2500, ε=0.5): the shift
+// m = max|y| is ≈55, so the smaller exponential of every pair and both
+// exponentials of most pairs fall below the floor.
+func gnpColdVector(rng *rand.Rand, n int) (f, scale []float64) {
+	f = make([]float64, n)
+	scale = make([]float64, n)
+	for i := range f {
+		f[i] = rng.NormFloat64() * 12
+		scale[i] = rng.Float64() + 0.5
+	}
+	f[n/3], scale[n/3] = -55, 1
+	return f, scale
+}
+
+// In the gnp-cold regime the fused kernel drops terms, and still stays
+// within len·2⁻⁵³ relative of the SoftMaxGrad reference: the value
+// relative to itself, each gradient entry (at most 1 in magnitude)
+// absolutely.
+func TestSoftMaxGradScaledParTruncationBound(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	for _, n := range []int{2500, 20000} {
+		f, scale := gnpColdVector(rng, n)
+		y := make([]float64, n)
+		dropped := 0
+		for i := range y {
+			y[i] = f[i] * scale[i]
+			if math.Abs(y[i])-55 < expFloor {
+				dropped++
+			}
+		}
+		if dropped < n/2 {
+			t.Fatalf("n=%d: only %d of %d pairs below the floor", n, dropped, n)
+		}
+		want := make([]float64, n)
+		wantV := SoftMaxGrad(y, want)
+		got := make([]float64, n)
+		gotV := SoftMaxGradScaledPar(f, scale, got)
+		tol := float64(n) * 0x1p-53
+		if math.Abs(gotV-wantV) > tol*math.Abs(wantV) {
+			t.Fatalf("n=%d: value %v, reference %v (tolerance %v relative)", n, gotV, wantV, tol)
+		}
+		for i := range got {
+			if math.Abs(got[i]-want[i]) > tol {
+				t.Fatalf("n=%d: grad[%d] = %v, reference %v (tolerance %v)", n, i, got[i], want[i], tol)
+			}
+		}
+	}
+}

@@ -173,7 +173,7 @@ func TestServerServesDuringUpdates(t *testing.T) {
 			if u == v {
 				v = (u + 1) % n
 			}
-			if _, err := srv.UpdateTopology([]TopoEdit{AddEdgeEdit(u, v, 1 + urng.Int63n(9))}); err != nil {
+			if _, err := srv.UpdateTopology([]TopoEdit{AddEdgeEdit(u, v, 1+urng.Int63n(9))}); err != nil {
 				t.Errorf("topology update %d: %v", i, err)
 			}
 		} else {
