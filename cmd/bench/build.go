@@ -144,15 +144,10 @@ func runBuildBench(cfg FlowBenchConfig, jsonPath string, buildCeiling, updateCei
 		}
 		fmt.Printf("  wrote %s\n", jsonPath)
 	}
-	if buildCeiling > 0 && res.RouterBuildSeconds > buildCeiling {
-		return fmt.Errorf("router build budget exceeded: %.3fs > ceiling %.3fs",
-			res.RouterBuildSeconds, buildCeiling)
+	if err := buildBudget.check(res.RouterBuildSeconds, buildCeiling); err != nil {
+		return err
 	}
-	if updateCeiling > 0 && res.DirtyUpdateSeconds > updateCeiling {
-		return fmt.Errorf("dirty update budget exceeded: %.5fs/edit > ceiling %.5fs",
-			res.DirtyUpdateSeconds, updateCeiling)
-	}
-	return nil
+	return updateBudget.check(res.DirtyUpdateSeconds, updateCeiling)
 }
 
 // runBuildBenchUpdate measures the single-edge update ladder: the same

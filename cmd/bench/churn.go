@@ -214,11 +214,7 @@ func runChurnBench(cfg FlowBenchConfig, jsonPath string, churnCeiling float64) e
 		}
 		fmt.Printf("  wrote %s\n", jsonPath)
 	}
-	if churnCeiling > 0 && res.ChurnUpdateSeconds > churnCeiling {
-		return fmt.Errorf("churn update budget exceeded: %.5fs/batch > ceiling %.5fs",
-			res.ChurnUpdateSeconds, churnCeiling)
-	}
-	return nil
+	return churnBudget.check(res.ChurnUpdateSeconds, churnCeiling)
 }
 
 // makeChurnBatch draws one mixed batch: 4 bridge-safe edge deletions, 4

@@ -136,9 +136,10 @@ type FlowBenchResult struct {
 	RepeatIterations int     `json:"repeat_iterations"`
 	RepeatValueSum   float64 `json:"repeat_value_sum,omitempty"`
 
-	// Baseline is the plain-stepper run of -compare (acceleration and
-	// ε-continuation disabled), with IterationRatio =
-	// Baseline.Iterations / Iterations.
+	// Baseline is the plain-stepper run of -compare (acceleration
+	// disabled; at ε ≥ 0.2 the continuation schedule is a single level,
+	// so at the recorded ε = 0.5 it also runs without continuation),
+	// with IterationRatio = Baseline.Iterations / Iterations.
 	Baseline       *CompareStats `json:"baseline,omitempty"`
 	IterationRatio float64       `json:"iteration_ratio_baseline_over_accel,omitempty"`
 
@@ -275,14 +276,10 @@ func runFlowBench(cfg FlowBenchConfig, jsonPath string, flags FlowBenchFlags) er
 		}
 		fmt.Printf("  wrote %s\n", jsonPath)
 	}
-	if flags.IterCeiling > 0 && res.Iterations > flags.IterCeiling {
-		return fmt.Errorf("iteration budget exceeded: %d > ceiling %d", res.Iterations, flags.IterCeiling)
+	if err := iterBudget.check(float64(res.Iterations), float64(flags.IterCeiling)); err != nil {
+		return err
 	}
-	if flags.ParallelFloor > 0 && res.SpeedupBuildParallel < flags.ParallelFloor {
-		return fmt.Errorf("parallel build speedup %.2fx below floor %.2fx (workers=1 %.3fs vs workers=%d %.3fs)",
-			res.SpeedupBuildParallel, flags.ParallelFloor, res.BuildSecondsW1, runtime.GOMAXPROCS(0), res.BuildSecondsWMax)
-	}
-	return nil
+	return parallelBudget.check(res.SpeedupBuildParallel, flags.ParallelFloor)
 }
 
 // runFlowBenchParallelBuild rebuilds the router twice — once with the
@@ -405,15 +402,14 @@ func runFlowBenchWarmRepeat(G *distflow.Graph, cfg FlowBenchConfig, pairs []dist
 }
 
 // runFlowBenchBaseline re-solves the workload with the accelerated
-// stepper and ε-continuation disabled (the plain backtracking stepper)
-// on a fresh router, recording the -compare baseline.
+// stepper disabled (the plain backtracking stepper) on a fresh router,
+// recording the -compare baseline.
 func runFlowBenchBaseline(G *distflow.Graph, cfg FlowBenchConfig, pairs []distflow.STPair, res *FlowBenchResult) error {
 	r, err := distflow.NewRouter(G, distflow.Options{
 		Epsilon:             cfg.Epsilon,
 		Seed:                cfg.Seed,
 		DisableWarmStart:    true,
 		DisableAcceleration: true,
-		DisableContinuation: true,
 	})
 	if err != nil {
 		return err

@@ -133,7 +133,7 @@ func run() error {
 		epsilon       = flag.Float64("eps", 0.5, "-flow/-build: approximation target")
 		workers       = flag.Int("workers", 0, "-flow/-build: solver worker count (0 = GOMAXPROCS)")
 		jsonOut       = flag.String("json", "", "-flow/-build: write measurements to this JSON file")
-		compare       = flag.Bool("compare", false, "-flow: also run the plain-stepper baseline (no acceleration/continuation) and record the iteration ratio")
+		compare       = flag.Bool("compare", false, "-flow: also run the plain-stepper baseline (acceleration disabled; the continuation schedule is fixed) and record the iteration ratio")
 		iterCeiling   = flag.Int("iter-ceiling", 0, "-flow: fail when sequential gradient iterations exceed this budget (0 = off)")
 		parallelFloor = flag.Float64("parallel-floor", 0, "-flow: fail when the workers=1 vs workers=GOMAXPROCS build speedup falls below this floor (0 = off; only meaningful on multicore)")
 		cpuProfile    = flag.String("cpuprofile", "", "-flow: write a CPU profile to this file")

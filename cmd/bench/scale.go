@@ -8,9 +8,9 @@ package main
 // and after the phase, so the delta is what the phase keeps alive) and
 // the transient peak (a 25 ms sampler plus the end-of-phase reading, so
 // build-time scratch shows up even when it is freed before the phase
-// ends). The ladder is what exposed the three PR-7 costs: the SplitGraph
-// race heap (gated here via the heap-vs-bucket A/B rung), duplicated
-// §8.1 multiplicity edges, and eager LCA tables.
+// ends). The ladder is what exposed three build costs: the SplitGraph
+// race heap (since replaced by a bucket queue, lsst.RaceOrderVersion
+// 2), duplicated §8.1 multiplicity edges, and eager LCA tables.
 //
 // The JSON document (schema 7) is a flat map so cmd/benchdiff can gate
 // individual rungs: per-rung keys carry an `_n{n}` suffix
@@ -46,11 +46,6 @@ import (
 
 // scaleRungs is the full ladder; -scale-max-n trims it.
 var scaleRungs = []int{10_000, 100_000, 1_000_000}
-
-// scaleABMaxN caps the heap-vs-bucket race A/B: above this the heap
-// rung would double an already long build for a ratio the 10⁵ rung
-// measures just as well.
-const scaleABMaxN = 100_000
 
 // phaseCost is one phase's wall time and memory accounting.
 type phaseCost struct {
@@ -245,25 +240,6 @@ func runScaleBench(cfg FlowBenchConfig, jsonPath string, maxN int, memCeilingMB 
 		fmt.Printf("    build phases: sample %.2fs (race %.2fs, sparsify %.2fs) | cutcap %.2fs | alpha %.2fs\n",
 			ph.SampleSeconds, ph.RaceSeconds, ph.SparsifySeconds, ph.CutCapSeconds, ph.AlphaSeconds)
 
-		// Heap-race A/B: rebuild with the version-1 heap order and
-		// compare the race phase. Wall-clock ratio, so reported but
-		// never gated.
-		if n <= scaleABMaxN {
-			optsHeap := opts
-			optsHeap.HeapRace = true
-			rh, err := distflow.NewRouter(G, optsHeap)
-			if err != nil {
-				return fmt.Errorf("n=%d heap-race build: %w", n, err)
-			}
-			heapRace := rh.BuildBreakdown().RaceSeconds
-			note("race_heap_seconds", n, heapRace)
-			if ph.RaceSeconds > 0 {
-				note("race_speedup", n, heapRace/ph.RaceSeconds)
-				fmt.Printf("    race A/B: bucket %.3fs vs heap %.3fs (%.2fx)\n",
-					ph.RaceSeconds, heapRace, heapRace/ph.RaceSeconds)
-			}
-		}
-
 		// Serving fingerprint at the smallest rung only — queries at 10⁵
 		// and up would dwarf the build the ladder is here to measure.
 		if i == 0 {
@@ -304,8 +280,8 @@ func runScaleBench(cfg FlowBenchConfig, jsonPath string, maxN int, memCeilingMB 
 		}
 		fmt.Printf("  wrote %s\n", jsonPath)
 	}
-	if memCeilingMB > 0 && maxPeakMB > memCeilingMB {
-		return fmt.Errorf("peak heap budget exceeded: %.1f MB > ceiling %.1f MB", maxPeakMB, memCeilingMB)
+	if err := scaleMemBudget.check(maxPeakMB, memCeilingMB); err != nil {
+		return err
 	}
 	fmt.Printf("  peak heap across ladder: %.1f MB\n", maxPeakMB)
 	return nil

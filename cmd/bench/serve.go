@@ -317,11 +317,7 @@ func runServeBench(cfg FlowBenchConfig, jsonPath string, p99Ceiling float64, dea
 		}
 		fmt.Printf("  wrote %s\n", jsonPath)
 	}
-	if p99Ceiling > 0 && res.P99Seconds > p99Ceiling {
-		return fmt.Errorf("serve latency budget exceeded: p99 %.3fs > ceiling %.3fs",
-			res.P99Seconds, p99Ceiling)
-	}
-	return nil
+	return serveBudget.check(res.P99Seconds, p99Ceiling)
 }
 
 // serveChaosChurnBatches is the fixed topology batch count of the
@@ -501,9 +497,8 @@ func runServeChaos(res *ServeBenchResult, cfg FlowBenchConfig, srv *distflow.Ser
 		return fmt.Errorf("injected update failures = %d, want %d (Every=3 over %d batches)",
 			res.InjectedUpdateFailures, want, res.ChaosChurnBatches)
 	}
-	if deadlineCeiling > 0 && res.ChaosP99Seconds > deadlineCeiling*deadline.Seconds() {
-		return fmt.Errorf("chaos latency budget exceeded: p99 %.3fs > %.1f × deadline %.3fs",
-			res.ChaosP99Seconds, deadlineCeiling, deadline.Seconds())
+	if err := serveDeadlineBudget.check(res.ChaosP99Seconds, deadlineCeiling*deadline.Seconds()); err != nil {
+		return err
 	}
 	faultinject.Reset()
 	return nil

@@ -76,11 +76,11 @@ var gatesByMode = map[string][]gate{
 		{key: "resampled_trees_total", dir: up, abs: 26},
 	},
 	// The scale document is a flat per-rung map (keys suffixed _n{n}).
-	// Wall-clock and memory keys are hardware-dependent and ungated —
-	// race_speedup included, it is a wall-clock ratio. The gates are the
-	// hardware-independent per-rung fingerprints of the rungs the
-	// committed baseline climbs (n ≤ 10⁵); keys of rungs beyond the
-	// fresh run's -scale-max-n are absent and reported as skipped.
+	// Wall-clock and memory keys are hardware-dependent and ungated.
+	// The gates are the hardware-independent per-rung fingerprints of
+	// the rungs the committed baseline climbs (n ≤ 10⁵); keys of rungs
+	// beyond the fresh run's -scale-max-n are absent and reported as
+	// skipped.
 	"scale": {
 		{key: "m_n10000", dir: both, rel: 1e-9},
 		{key: "m_n100000", dir: both, rel: 1e-9},

@@ -32,8 +32,6 @@ import (
 	"distflow/internal/capprox"
 	"distflow/internal/congest"
 	"distflow/internal/graph"
-	"distflow/internal/jtree"
-	"distflow/internal/lsst"
 	"distflow/internal/par"
 	"distflow/internal/seqflow"
 	"distflow/internal/sherman"
@@ -93,7 +91,8 @@ func (G *Graph) DeadEdge(e int) bool { return G.g.Dead(e) }
 
 // Options configures the solver. The zero value uses the paper's
 // defaults: ε = 0.5, ⌈log₂ n⌉+1 sampled virtual trees, measured-α
-// gradient steps with adaptive fallback.
+// gradient steps with adaptive fallback, the accelerated stepper, and
+// (below ε = 0.2) the fixed ε-continuation schedule (DESIGN.md §5).
 type Options struct {
 	// Epsilon is the approximation target in (0,1); default 0.5.
 	Epsilon float64
@@ -118,9 +117,6 @@ type Options struct {
 	// instead of the default safeguarded accelerated stepper
 	// (DESIGN.md §5).
 	DisableAcceleration bool
-	// DisableContinuation turns off the ε-continuation schedule
-	// (DESIGN.md §5).
-	DisableContinuation bool
 	// DisableWarmStart turns off the Router's query warm-start cache.
 	// With the cache on (the default), repeated and similar queries
 	// start near-converged and finish in a fraction of the iterations;
@@ -145,14 +141,6 @@ type Options struct {
 	// update re-sweeps every tree, the bit-identical slow path used as
 	// the property-test oracle and the bench baseline).
 	UpdateDirtyFraction float64
-	// HeapRace selects the legacy binary-heap SplitGraph race inside the
-	// spanning-tree construction instead of the default bucket queue
-	// (lsst.RaceOrderVersion 1 vs 2). Measurement-only: the two resolve
-	// equal-priority race ties in different orders, so sampled trees —
-	// and hence flows — differ between the settings (each is
-	// individually deterministic). The scale ladder uses this for its
-	// race A/B phase breakdown.
-	HeapRace bool
 	// CutShiftResample tunes UpdateTopology's structural-degradation
 	// detector: a sampled tree one of whose pre-existing cuts a
 	// topology batch multiplies or divides by more than this factor is
@@ -401,7 +389,6 @@ func capproxConfig(opts Options) capprox.Config {
 		ExactCuts:           !opts.PaperScaling,
 		UpdateDirtyFraction: opts.UpdateDirtyFraction,
 		CutShiftResample:    opts.CutShiftResample,
-		Step:                jtree.Config{LSST: lsst.Config{HeapRace: opts.HeapRace}},
 	}
 }
 
@@ -581,7 +568,6 @@ func (ep *epoch) shermanConfig() sherman.Config {
 		Alpha:               ep.opts.Alpha,
 		MaxIters:            ep.opts.MaxIters,
 		DisableAcceleration: ep.opts.DisableAcceleration,
-		DisableContinuation: ep.opts.DisableContinuation,
 	}
 }
 

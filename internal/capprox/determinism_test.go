@@ -5,8 +5,6 @@ import (
 	"testing"
 
 	"distflow/internal/graph"
-	"distflow/internal/jtree"
-	"distflow/internal/lsst"
 	"distflow/internal/par"
 )
 
@@ -101,35 +99,4 @@ func TestBuildSeedSensitivity(t *testing.T) {
 		}
 	}
 	t.Error("seven seeds produced identical virtual trees")
-}
-
-// The version-1 heap race (lsst.Config.HeapRace) is kept for the scale
-// ladder's A/B rung; it must stay worker-count deterministic too, or
-// race_speedup would compare a deterministic build against noise.
-func TestBuildWorkerCountDeterminismHeapRace(t *testing.T) {
-	g := graph.CapUniform(graph.GNP(300, 8.0/300, rand.New(rand.NewSource(4))), 32, rand.New(rand.NewSource(5)))
-	cfg := Config{Step: jtree.Config{LSST: lsst.Config{HeapRace: true}}}
-	build := func(workers int) *Approximator {
-		defer par.SetWorkers(par.SetWorkers(workers))
-		a, err := Build(g, cfg, rand.New(rand.NewSource(21)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return a
-	}
-	a, b, c := build(1), build(3), build(16)
-	for _, other := range []*Approximator{b, c} {
-		if a.Alpha != other.Alpha || a.AlphaLow != other.AlphaLow {
-			t.Fatalf("heap-race alpha differs across worker counts: %v/%v vs %v/%v",
-				a.Alpha, a.AlphaLow, other.Alpha, other.AlphaLow)
-		}
-		for k := range a.Trees {
-			for v := 0; v < a.Trees[k].N(); v++ {
-				if a.Trees[k].Parent[v] != other.Trees[k].Parent[v] ||
-					a.Trees[k].Cap[v] != other.Trees[k].Cap[v] {
-					t.Fatalf("heap-race tree %d differs at vertex %d across worker counts", k, v)
-				}
-			}
-		}
-	}
 }

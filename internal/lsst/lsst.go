@@ -66,10 +66,6 @@ type Config struct {
 	ZExponent float64
 	// MaxRestarts bounds Partition restarts per iteration (default 2·log₂ n).
 	MaxRestarts int
-	// HeapRace selects the RaceOrderVersion-1 heap race instead of the
-	// bucket queue. Measurement-only: outputs differ (in tie order, and
-	// hence distribution) from the default path.
-	HeapRace bool
 }
 
 // Workspace pools every scratch array of the construction — the
@@ -330,7 +326,7 @@ func SpanningTreeWS(n int, edges []Edge, cfg Config, rng *rand.Rand, ws *Workspa
 		for attempt := 0; ; attempt++ {
 			res.PartitionCalls++
 			raceStart := time.Now() //distflow:allow detrand build-phase timing stat only; never feeds results
-			sg = splitGraph(nn, off, arcs, curRho, rng, &ws.sws, cfg.HeapRace)
+			sg = splitGraph(nn, off, arcs, curRho, rng, &ws.sws, raceWithBuckets)
 			res.RaceSeconds += time.Since(raceStart).Seconds() //distflow:allow detrand build-phase timing stat only; never feeds results
 			if attempt >= maxRestarts || !overSplit(sg, active, classCount, curRho, nn) {
 				break

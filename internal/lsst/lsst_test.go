@@ -242,8 +242,8 @@ func TestRaceBucketMatchesHeapClusters(t *testing.T) {
 			}
 			for seed := int64(0); seed < 5; seed++ {
 				var wsB, wsH splitWS
-				rb := splitGraph(n, off, arcs, rho, rand.New(rand.NewSource(seed)), &wsB, false)
-				rh := splitGraph(n, off, arcs, rho, rand.New(rand.NewSource(seed)), &wsH, true)
+				rb := splitGraph(n, off, arcs, rho, rand.New(rand.NewSource(seed)), &wsB, raceWithBuckets)
+				rh := splitGraph(n, off, arcs, rho, rand.New(rand.NewSource(seed)), &wsH, raceWithHeap)
 				if rb.maxDepth != rh.maxDepth {
 					t.Fatalf("n=%d rho=%d seed=%d: maxDepth %d (bucket) vs %d (heap)", n, rho, seed, rb.maxDepth, rh.maxDepth)
 				}
@@ -274,32 +274,24 @@ func treeFingerprint(res *Result) uint64 {
 	return h
 }
 
-// Both race implementations must be deterministic functions of
-// (input, seed): two runs with the same seed produce bit-identical
-// trees. The heap path is the version-1 distribution kept for A/B
-// measurement; it must stay deterministic too.
+// The race must be a deterministic function of (input, seed): two runs
+// with the same seed produce bit-identical trees.
 func TestRaceDeterminism(t *testing.T) {
 	g := graph.GNP(300, 8.0/300, rand.New(rand.NewSource(42)))
 	edges := fromGraph(g)
-	for _, cfg := range []Config{{}, {HeapRace: true}} {
-		name := "bucket"
-		if cfg.HeapRace {
-			name = "heap"
+	t.Run("bucket", func(t *testing.T) {
+		a, err := SpanningTree(g.N(), edges, Config{}, rand.New(rand.NewSource(7)))
+		if err != nil {
+			t.Fatal(err)
 		}
-		t.Run(name, func(t *testing.T) {
-			a, err := SpanningTree(g.N(), edges, cfg, rand.New(rand.NewSource(7)))
-			if err != nil {
-				t.Fatal(err)
-			}
-			b, err := SpanningTree(g.N(), edges, cfg, rand.New(rand.NewSource(7)))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if fa, fb := treeFingerprint(a), treeFingerprint(b); fa != fb {
-				t.Fatalf("%s race not deterministic: %x vs %x", name, fa, fb)
-			}
-		})
-	}
+		b, err := SpanningTree(g.N(), edges, Config{}, rand.New(rand.NewSource(7)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fa, fb := treeFingerprint(a), treeFingerprint(b); fa != fb {
+			t.Fatalf("bucket race not deterministic: %x vs %x", fa, fb)
+		}
+	})
 }
 
 // The version-2 fingerprint: the pop order among equal keys is part of

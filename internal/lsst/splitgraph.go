@@ -25,11 +25,12 @@ import (
 // every downstream build fingerprint and requires re-committing the
 // BENCH baselines (DESIGN.md §10).
 //
-// Version 1: container/heap sift order (the raceHeap, kept behind
-// Config.HeapRace for A/B measurement). Version 2: the bucket queue's
-// order — within one arrival time, ascending source; within one
-// (time, source), insertion order (a seed before any same-source
-// expansion, expansions in the pop order of the previous bucket).
+// Version 1: container/heap sift order, kept only as the test-side
+// reference race (raceWithHeap in the package tests). Version 2: the
+// bucket queue's order — within one arrival time, ascending source;
+// within one (time, source), insertion order (a seed before any
+// same-source expansion, expansions in the pop order of the previous
+// bucket).
 const RaceOrderVersion = 2
 
 // splitEdge is an edge of the (contracted, unweighted) working graph.
@@ -70,60 +71,10 @@ func raceKey(time, source int) uint64 {
 func (it raceItem) time() int   { return int(it.key >> 32) }
 func (it raceItem) source() int { return int(uint32(it.key)) }
 
-// raceHeap is a binary min-heap of raceItems ordered by key. It
-// replicates container/heap's sift algorithm exactly — identical
-// comparison and swap sequences, hence an identical pop order including
-// the (unspecified but deterministic) order among equal keys. This is
-// the RaceOrderVersion-1 ordering, kept behind Config.HeapRace so the
-// scale ladder can measure the bucket queue against it.
-type raceHeap []raceItem
-
-func (h *raceHeap) push(x raceItem) {
-	*h = append(*h, x)
-	// Sift up (container/heap's up).
-	hh := *h
-	j := len(hh) - 1
-	for {
-		i := (j - 1) / 2
-		if i == j || hh[j].key >= hh[i].key {
-			break
-		}
-		hh[i], hh[j] = hh[j], hh[i]
-		j = i
-	}
-}
-
-func (h *raceHeap) pop() raceItem {
-	hh := *h
-	n := len(hh) - 1
-	hh[0], hh[n] = hh[n], hh[0]
-	// Sift down over hh[:n] (container/heap's down).
-	i := 0
-	for {
-		j1 := 2*i + 1
-		if j1 >= n || j1 < 0 {
-			break
-		}
-		j := j1
-		if j2 := j1 + 1; j2 < n && hh[j2].key < hh[j1].key {
-			j = j2
-		}
-		if hh[j].key >= hh[i].key {
-			break
-		}
-		hh[i], hh[j] = hh[j], hh[i]
-		i = j
-	}
-	x := hh[n]
-	*h = hh[:n]
-	return x
-}
-
 // splitWS holds splitGraph's scratch, reused across Partition calls,
 // SpanningTree iterations, levels and trees (the build-path arena).
 type splitWS struct {
-	h         raceHeap // legacy heap race (Config.HeapRace)
-	budget    []int32  // per seeding node: delay + remaining radius
+	budget    []int32 // per seeding node: delay + remaining radius
 	seeds     []int32
 	uncovered []int32
 	res       splitResult
@@ -161,9 +112,11 @@ func (ws *splitWS) grow(n int) {
 // via its endpoints). The BFS races are resolved exactly as in the
 // distributed execution: a node joins the cluster of the first BFS to
 // visit it, ties broken by smaller source ID; the residual tie order is
-// RaceOrderVersion's (the heap's when heapRace is set). The returned
-// result aliases ws and is valid until the next call with the same ws.
-func splitGraph(n int, off []int32, arcs []splitEdge, rho int, rng *rand.Rand, ws *splitWS, heapRace bool) *splitResult {
+// the pop order of race, which is raceWithBuckets (RaceOrderVersion)
+// everywhere but the tests that compare it against the version-1 heap.
+// The returned result aliases ws and is valid until the next call with
+// the same ws.
+func splitGraph(n int, off []int32, arcs []splitEdge, rho int, rng *rand.Rand, ws *splitWS, race raceFunc) *splitResult {
 	ws.grow(n)
 	res := &ws.res
 	res.maxDepth = 0
@@ -212,10 +165,9 @@ func splitGraph(n int, off []int32, arcs []splitEdge, rho int, rng *rand.Rand, w
 		}
 		radius := rho * (2*logN - (t - 1)) / (2 * logN)
 		// Draw the seed delays in seed order (one shared PRNG stream for
-		// both race implementations) and encode each race deadline by
-		// entering the seed at its delay; expansion stops when
-		// time-delay exceeds the remaining radius (tracked below via the
-		// per-source budget).
+		// every race order) and encode each race deadline by entering
+		// the seed at its delay; expansion stops when time-delay exceeds
+		// the remaining radius (tracked below via the per-source budget).
 		seedBuf := ws.seedBuf[:0]
 		maxTime := 0
 		for _, s := range seeds {
@@ -235,11 +187,7 @@ func splitGraph(n int, off []int32, arcs []splitEdge, rho int, rng *rand.Rand, w
 		}
 		ws.seedBuf = seedBuf
 		ws.seeds = seeds
-		if heapRace {
-			raceWithHeap(seedBuf, off, arcs, budget, res, ws)
-		} else {
-			raceWithBuckets(seedBuf, maxTime, off, arcs, budget, res, ws)
-		}
+		race(seedBuf, maxTime, off, arcs, budget, res, ws)
 		next := uncovered[:0]
 		for _, v := range uncovered {
 			if res.cluster[v] < 0 {
@@ -274,6 +222,11 @@ func claim(it raceItem, budget []int32, res *splitResult) (v int, expand bool) {
 	}
 	return v, it.time()+1 <= int(budget[it.source()])
 }
+
+// raceFunc runs one phase's delayed BFS race: seedBuf holds the phase's
+// seeds in ascending-source order, keyed at their delays, and no
+// arrival is later than maxTime.
+type raceFunc func(seedBuf []raceItem, maxTime int, off []int32, arcs []splitEdge, budget []int32, res *splitResult, ws *splitWS)
 
 // raceWithBuckets runs one phase's delayed BFS race through the dial
 // queue. Invariant: every bucket is drained in ascending-source order —
@@ -337,30 +290,6 @@ func raceWithBuckets(seedBuf []raceItem, maxTime int, off []int32, arcs []splitE
 		cur, next = next, cur[:0]
 	}
 	ws.cur, ws.next = cur[:0], next[:0]
-}
-
-// raceWithHeap is the RaceOrderVersion-1 race: identical claims, pop
-// order among equal keys per container/heap's sift sequence.
-func raceWithHeap(seedBuf []raceItem, off []int32, arcs []splitEdge, budget []int32, res *splitResult, ws *splitWS) {
-	h := ws.h[:0]
-	for _, it := range seedBuf {
-		h.push(it)
-	}
-	for len(h) > 0 {
-		it := h.pop()
-		v, expand := claim(it, budget, res)
-		if !expand {
-			continue
-		}
-		nextKey := it.key + 1<<32 // same source, time+1
-		for _, e := range arcs[off[v]:off[v+1]] {
-			w := other(e, v)
-			if res.cluster[w] < 0 {
-				h.push(raceItem{key: nextKey, node: int32(w), parent: int32(v), edge: e.id})
-			}
-		}
-	}
-	ws.h = h
 }
 
 // componentClusters assigns one cluster per connected component, with a

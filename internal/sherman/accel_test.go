@@ -1,9 +1,9 @@
 package sherman
 
-// Correctness tests for the momentum paths of the stepper: the legacy
-// fixed-coefficient heavy-ball option, the default accelerated
-// (Nesterov-schedule) stepper with potential-monotonicity restarts, and
-// the ε-continuation schedule. Every configuration must keep the
+// Correctness tests for the stepper: the default accelerated
+// (Nesterov-schedule) stepper with potential-monotonicity restarts, the
+// plain backtracking stepper, and the ε-continuation schedule. Every
+// configuration must keep the
 // converged flow within the (1+ε)² band of the exact Dinic optimum on
 // the fuzz-corpus graph family, whether or not restarts fire.
 
@@ -89,16 +89,6 @@ func TestAcceleratedCorrectness(t *testing.T) {
 	}
 }
 
-// The legacy heavy-ball option (fixed coefficient, previously untested)
-// also stays within the guarantee, at several coefficients.
-func TestHeavyBallCorrectness(t *testing.T) {
-	for _, mom := range []float64{0.5, 0.9} {
-		for _, g := range corpusGraphs(t, 5, 37) {
-			checkWithinBand(t, g, Config{Epsilon: 0.3, Momentum: mom}, "heavy-ball")
-		}
-	}
-}
-
 // Disabling acceleration restores the plain monotone stepper: no
 // restarts can fire, and the guarantee still holds.
 func TestPlainStepperNoRestarts(t *testing.T) {
@@ -110,18 +100,20 @@ func TestPlainStepperNoRestarts(t *testing.T) {
 	}
 }
 
-// ε-continuation at a tight target: the schedule must preserve the
-// guarantee, and disabling it must too (ablation).
+// ε-continuation at a tight target (levels 0.36, 0.12): the schedule
+// must preserve the guarantee under both steppers.
 func TestContinuationCorrectness(t *testing.T) {
 	for _, g := range corpusGraphs(t, 4, 83) {
 		a := checkWithinBand(t, g, Config{Epsilon: 0.12}, "continuation")
-		b := checkWithinBand(t, g, Config{Epsilon: 0.12, DisableContinuation: true}, "no-continuation")
-		t.Logf("iterations: continuation=%d single-level=%d", a.Iterations, b.Iterations)
+		b := checkWithinBand(t, g, Config{Epsilon: 0.12, DisableAcceleration: true}, "plain continuation")
+		t.Logf("iterations: accelerated=%d plain=%d", a.Iterations, b.Iterations)
 	}
 }
 
-// The continuation schedule ends exactly at the requested accuracy and
-// coarsens by 3× per level.
+// The continuation schedule ends exactly at the requested accuracy,
+// coarsens by 3× per level, and keeps every coarser level below 0.6:
+// ε = 0.2 gets no 0.6 level (0.2·3 is 0.6000000000000001 in floating
+// point, and the bound is strict either way).
 func TestContinuationLevels(t *testing.T) {
 	cases := []struct {
 		eps  float64
@@ -129,11 +121,13 @@ func TestContinuationLevels(t *testing.T) {
 	}{
 		{0.5, []float64{0.5}},
 		{0.3, []float64{0.3}},
+		{0.2, []float64{0.2}},
 		{0.15, []float64{0.45, 0.15}},
+		{0.1, []float64{0.3, 0.1}},
 		{0.05, []float64{0.45, 0.15, 0.05}},
 	}
 	for _, c := range cases {
-		got := continuationLevels(c.eps, Config{})
+		got := continuationLevels(c.eps)
 		if len(got) != len(c.want) {
 			t.Fatalf("eps=%v: levels %v, want %v", c.eps, got, c.want)
 		}
@@ -142,10 +136,6 @@ func TestContinuationLevels(t *testing.T) {
 				t.Fatalf("eps=%v: levels %v, want %v", c.eps, got, c.want)
 			}
 		}
-	}
-	single := continuationLevels(0.05, Config{DisableContinuation: true})
-	if len(single) != 1 || single[0] != 0.05 {
-		t.Fatalf("DisableContinuation levels = %v", single)
 	}
 }
 

@@ -19,11 +19,11 @@
 // (Nesterov's momentum schedule with potential-monotonicity restarts,
 // DESIGN.md §5) — Sherman's footnote 3 observes acceleration improves
 // the ε⁻³ iteration bound toward ε⁻², and Grunau–Kyng–Zuzic (2025) make
-// it the centerpiece of the state of the art. Small target accuracies
-// are additionally reached through an ε-continuation schedule that
-// warm-starts each refinement level from the previous level's flow.
-// Config.DisableAcceleration and Config.DisableContinuation restore the
-// plain stepper.
+// it the centerpiece of the state of the art. Config.DisableAcceleration
+// restores the plain backtracking gradient step. Small target accuracies
+// (ε < 0.2) are always reached through a fixed ε-continuation schedule
+// that warm-starts each refinement level from the previous level's flow
+// (continuationLevels).
 //
 // Every gradient iteration charges the distributed cost of its two
 // R-applications (Corollary 9.3) and its BFS-tree aggregations to the
@@ -48,7 +48,8 @@ import (
 )
 
 // Config tunes the solver. The zero value selects the paper's
-// parameters with the accelerated stepper enabled.
+// parameters with the accelerated stepper enabled; the ε-continuation
+// schedule and Algorithm 1's ⌈log₂(m+2)⌉+1 outer repetitions are fixed.
 type Config struct {
 	// Epsilon is the approximation target (default 0.5).
 	Epsilon float64
@@ -65,24 +66,11 @@ type Config struct {
 	// DisableAdaptiveAlpha turns off the stall-doubling of α
 	// (ablation A2: paper-faithful fixed step size).
 	DisableAdaptiveAlpha bool
-	// Momentum enables a safeguarded heavy-ball term μ·(f_k − f_{k-1})
-	// with a FIXED coefficient on top of the gradient step (the
-	// pre-acceleration exploratory option; momentum is dropped whenever
-	// a step fails to decrease the potential, so the worst case is
-	// unchanged). 0 = off; typical value 0.9. When set it takes
-	// precedence over the default accelerated schedule.
-	Momentum float64
 	// DisableAcceleration turns off the default safeguarded
 	// accelerated-gradient stepper (Nesterov's θ_k = k/(k+3) momentum
 	// schedule with potential-monotonicity restarts, DESIGN.md §5) and
 	// restores the plain backtracking gradient step.
 	DisableAcceleration bool
-	// DisableContinuation turns off the ε-continuation schedule that
-	// solves AlmostRoute at a coarse accuracy first and warm-starts each
-	// refinement level from the previous flow (DESIGN.md §5).
-	DisableContinuation bool
-	// OuterIters bounds Algorithm 1 repetitions (default ⌈log₂ m⌉+1).
-	OuterIters int
 }
 
 // ErrNoConvergence is returned when AlmostRoute exhausts its iteration
@@ -93,8 +81,9 @@ var ErrNoConvergence = errors.New("sherman: gradient descent did not converge")
 // descent direction is a sign-gradient (ℓ∞-geometry) step whose length
 // the η line search already adapts, so the classical μ→1 schedule
 // overshoots into restart-thrash; capping at 0.4 measured best on the
-// BENCH workload (swept 0.3–0.9: 1126 iterations at 0.4 vs 1420
-// without momentum and 1858 uncapped, DESIGN.md §5).
+// BENCH workload when the stepper was introduced (that change's sweep
+// of 0.3–0.9 counted 1126 iterations at 0.4 vs 1420 without momentum
+// and 1858 uncapped; DESIGN.md §5 has today's counts).
 const muCap = 0.4
 
 // RouteResult is the outcome of AlmostRoute.
@@ -348,12 +337,19 @@ func (s *Solver) AlmostRouteCtx(ctx context.Context, b []float64, eps float64, c
 // eps. Each level is 3× coarser than the next: a level costs Θ(ε⁻²..⁻³)
 // iterations, so the prefix sums are dominated by the final level while
 // every level starts from the previous level's nearly-converged flow.
-func continuationLevels(eps float64, cfg Config) []float64 {
-	if cfg.DisableContinuation {
-		return []float64{eps}
-	}
+//
+// Coarser levels stay strictly below 0.6: ε=0.2 → [0.2], ε=0.1 →
+// [0.3 0.1], ε=0.05 → [0.45 0.15 0.05]. (0.2·3 is 0.6000000000000001
+// in floating point, so even a non-strict bound gives ε=0.2 no 0.6
+// level.) Adding that 0.6 level measured slower in 8 of 10 seeds (GNP
+// deg 8, n ∈ {1000, 2500}, seeds 1–5). The schedule has no off switch
+// because neither setting wins everywhere: without it ε ∈ {0.1, 0.05}
+// ran faster in 15 of 20 (n, ε, seed) cells but up to 4.3× slower on
+// the worst seed, so the summed wall at n=2500 favours continuation
+// (DESIGN.md §5).
+func continuationLevels(eps float64) []float64 {
 	levels := []float64{eps}
-	for e := eps * 3; e <= 0.6; e *= 3 {
+	for e := eps * 3; e < 0.6; e *= 3 {
 		levels = append([]float64{e}, levels...)
 	}
 	return levels
@@ -418,7 +414,7 @@ func (s *Solver) almostRoute(ctx context.Context, b []float64, eps float64, cfg 
 
 	out := &RouteResult{}
 	cur := warm
-	for _, le := range continuationLevels(eps, cfg) {
+	for _, le := range continuationLevels(eps) {
 		res, err := s.almostRouteAdaptive(ctx, b, le, cfg, n, diameter, ledger, rb, cur, st)
 		if err != nil {
 			return nil, err
@@ -520,18 +516,15 @@ func (s *Solver) almostRouteFixedAlpha(ctx context.Context, b []float64, eps, al
 	fTry := ws.fTry
 	fPrev := ws.fPrev
 
-	// Momentum mode: an explicit Config.Momentum keeps the legacy fixed
-	// heavy-ball coefficient; otherwise the default is the accelerated
-	// schedule μ_k = k/(k+3) (Nesterov's θ-sequence) over the k accepted
-	// steps since the last restart. Both are safeguarded: a momentum
-	// step that fails to decrease φ is retried without the term, which
-	// for the accelerated schedule is a potential-monotonicity restart
-	// (k returns to 0 and the sequence rebuilds).
-	heavyBall := cfg.Momentum > 0
-	accel := !heavyBall && !cfg.DisableAcceleration
-	trackPrev := heavyBall || accel
+	// The momentum coefficient follows the accelerated schedule
+	// μ_k = min(k/(k+3), muCap) (Nesterov's θ-sequence) over the k
+	// accepted steps since the last restart, safeguarded: a momentum
+	// step that fails to decrease φ is retried without the term — a
+	// potential-monotonicity restart (k returns to 0 and the sequence
+	// rebuilds).
+	accel := !cfg.DisableAcceleration
 	k := 0
-	useMomentum := false
+	momentumOn := false
 
 	phi, delta := ws.eval(f, bs, alpha)
 	charge := func() {
@@ -623,12 +616,8 @@ func (s *Solver) almostRouteFixedAlpha(ctx context.Context, b []float64, eps, al
 				return degradeNow(), nil
 			}
 			mu := 0.0
-			if useMomentum {
-				if heavyBall {
-					mu = cfg.Momentum
-				} else {
-					mu = math.Min(float64(k)/float64(k+3), muCap)
-				}
+			if momentumOn {
+				mu = math.Min(float64(k)/float64(k+3), muCap)
 			}
 			if mu > 0 {
 				par.For(len(fTry), func(lo, hi int) {
@@ -651,7 +640,7 @@ func (s *Solver) almostRouteFixedAlpha(ctx context.Context, b []float64, eps, al
 			}
 			decreased := phiTry < phi
 			if decreased || (eta <= 1 && mu == 0) {
-				if trackPrev {
+				if accel {
 					copy(fPrev, f)
 				}
 				f, fTry = fTry, f
@@ -660,7 +649,7 @@ func (s *Solver) almostRouteFixedAlpha(ctx context.Context, b []float64, eps, al
 					// decreased at this η: try a larger one next time
 					eta = math.Min(eta*1.25, 1024)
 					k++
-					useMomentum = trackPrev
+					momentumOn = accel
 				} else {
 					// forced paper-rule step without decrease: the local
 					// model is off, rebuild the momentum sequence
@@ -672,8 +661,8 @@ func (s *Solver) almostRouteFixedAlpha(ctx context.Context, b []float64, eps, al
 			// potential-monotonicity restart of the accelerated
 			// sequence), then shrink the step back toward the paper's
 			// guaranteed size.
-			if useMomentum {
-				useMomentum = false
+			if momentumOn {
+				momentumOn = false
 				k = 0
 				restarts++
 				continue
@@ -786,10 +775,8 @@ func (s *Solver) MaxFlowCtx(ctx context.Context, src, dst int, cfg Config, warm 
 	ledger := congest.NewLedger()
 	b := graph.STDemand(g.N(), src, dst, 1)
 
-	outer := cfg.OuterIters
-	if outer == 0 {
-		outer = int(math.Ceil(math.Log2(float64(g.M()+2)))) + 1
-	}
+	// Algorithm 1's O(log m) repetitions.
+	outer := int(math.Ceil(math.Log2(float64(g.M()+2)))) + 1
 
 	// AlphaUsed must report a valid α even when the certificate
 	// short-circuit below skips every gradient step; the descent raises

@@ -7,9 +7,10 @@ package distflow
 // seed — fully deterministic, so this pins the solver's algorithmic
 // efficiency even on 1-CPU CI runners where wall-clock assertions are
 // meaningless. The pre-acceleration baseline spent 3854 iterations
-// (BENCH_seed.json); the accelerated stepper with ε-continuation and
-// the measured residual certificate spends 1126 (BENCH_accel.json).
-// The ceiling sits between the two with headroom for benign numeric
+// (BENCH_seed.json); the accelerated stepper with the measured residual
+// certificate spends 1246 today (BENCH_accel.json, recorded before
+// later last-ulp soft-max changes, has 1408). The ceiling sits between
+// the baseline and today's count with headroom for benign numeric
 // drift, so any regression that costs the 2× win fails here.
 
 import (
@@ -20,7 +21,7 @@ import (
 )
 
 // iterationCeiling is the recorded budget for the benchmark workload:
-// measured 1126 iterations, ceiling 1700 (≤ half the 3854-iteration
+// measured 1246 iterations, ceiling 1700 (≤ half the 3854-iteration
 // seed baseline, preserving the ≥2× claim).
 const iterationCeiling = 1700
 
